@@ -105,10 +105,9 @@ def ch_g_via_antisym(rs: RootSystem, k: int) -> CasimirImage:
     """Block character via the antisymmetrizer route: divide
     q^{c_n - 1} A(H_{n,k}) (plus q^{-k} Delta in type B) by Delta.
 
-    The numerator is divided slice by slice in the q-grading: each q-power
-    slice of A(H_{n,k}) is itself alternating, so each slice division is
-    exact on its own (and runs in plain integer arithmetic); their sum is
-    the single exact quotient.  A NotDivisible escaping from here would be
+    A(H_{n,k}) is divided once, with its q-dependent coefficients: every
+    binomial stage of ``divide_by_denominator`` sums them along chains and
+    never divides a coefficient.  A NotDivisible escaping from here would be
     an implementation bug and is deliberately not caught.
     """
     key = (rs.lie_type, rs.rank, k, "antisym")
@@ -117,14 +116,9 @@ def ch_g_via_antisym(rs: RootSystem, k: int) -> CasimirImage:
         if k < 0:
             raise ValueError("k must be >= 0")
         alt = antisymmetrize(h_element(rs, k), rs)
-        slices: dict[int, dict] = {}
-        for w, c in alt.terms.items():
-            for e, v in c.terms.items():
-                slices.setdefault(e, {})[w] = QLaurent({0: v})
-        body = GAElem.zero(rs.rank)
-        for e, terms in slices.items():
-            part = divide_by_denominator(GAElem(rs.rank, terms), rs)
-            body = body + part.scale(QLaurent.monomial(e + 4 * (rs.c_n - 1)))
+        body = divide_by_denominator(alt, rs).scale(
+            QLaurent.monomial(4 * (rs.c_n - 1))
+        )
         if rs.lie_type is LieType.B:
             body = body + GAElem.constant(
                 rs.rank, QLaurent.monomial(-4 * k)

@@ -8,10 +8,14 @@ Group elements act on weights coordinate-wise, and the antisymmetrizer
 
 :class:`GAElem` is a finite formal sum of exponentials e^mu with q-Laurent
 coefficients, keyed by the doubled coordinates of mu.  Characters are
-computed by the quotient of alternants: the numerator and denominator are
-both alternating, the quotient is found by repeated cancellation of the
-lexicographically-leading term, and exactness of the division is certified
-by the remainder reaching zero.  Monomial order is lexicographic on doubled
+quotients of alternants by the Weyl denominator Delta = e^rho * prod over
+positive roots of (1 - e^(-alpha)), divided one binomial factor at a time.
+A binomial e^u - e^v with u > v is divided by summing the numerator down
+each chain k, k - (u - v), ...: the running sum is the quotient
+coefficient, and the division is exact exactly when every chain sum returns
+to zero, so no coefficient is ever divided.  Other denominators go through
+lexicographic leading-term elimination, whose remainder reaching zero
+certifies exactness.  Monomial order is lexicographic on doubled
 coordinates, highest first (Python tuple comparison).
 """
 
@@ -21,7 +25,8 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
+from operator import itemgetter, sub
 from typing import Iterable, Mapping, Sequence
 
 from .exact import (
@@ -36,6 +41,7 @@ from .exact import (
 from .roots import (
     LieType,
     NotDominant,
+    NotOnWeightLattice,
     RootSystem,
     Weight,
 )
@@ -203,37 +209,39 @@ def coset_representatives(rs: RootSystem) -> list[SignedPerm]:
     return reps
 
 
-# Hot loops (products, alternant division) pack a doubled-coordinate tuple
-# into one int, coordinate 0 in the most significant lane, each lane offset
-# by _PACK_BASE.  Packed ints then compare exactly like tuples under lex
+# Products and leading-term division pack a doubled-coordinate tuple into
+# one int, coordinate 0 in the most significant lane, each lane offset
+# by half its range.  Packed ints then compare exactly like tuples under lex
 # order, and key addition is a single int add (minus the offset constant).
-# Lanes hold coordinate sums up to +-2^15, far beyond anything desk-scale.
-_PACK_SHIFT = 16
-_PACK_BASE = 1 << 15
-_PACK_MASK = (1 << _PACK_SHIFT) - 1
+# Each caller sizes the lanes from a bound on every coordinate it will form,
+# so no lane can wrap into its neighbour.
 
 
-def _pack(key: tuple[int, ...]) -> int:
+def _max_coord(terms: Mapping[tuple, object]) -> int:
+    return max(map(abs, chain.from_iterable(terms)), default=0)
+
+
+def _lane_bits(bound: int) -> int:
+    """Lane width holding every coordinate in [-bound, bound]."""
+    return bound.bit_length() + 1
+
+
+def _pack(key: tuple[int, ...], bits: int) -> int:
+    base = 1 << (bits - 1)
     acc = 0
     for c in key:
-        acc = (acc << _PACK_SHIFT) | (c + _PACK_BASE)
+        acc = (acc << bits) | (c + base)
     return acc
 
 
-def _unpack(packed: int, n: int) -> tuple[int, ...]:
+def _unpack(packed: int, n: int, bits: int) -> tuple[int, ...]:
+    base = 1 << (bits - 1)
+    mask = (1 << bits) - 1
     out = [0] * n
     for i in range(n - 1, -1, -1):
-        out[i] = (packed & _PACK_MASK) - _PACK_BASE
-        packed >>= _PACK_SHIFT
+        out[i] = (packed & mask) - base
+        packed >>= bits
     return tuple(out)
-
-
-def _pack_offset(n: int) -> int:
-    return _pack((0,) * n)
-
-
-def _constant_coeffs(terms: Mapping[tuple, QLaurent]) -> bool:
-    return all(len(c.terms) == 1 and 0 in c.terms for c in terms.values())
 
 
 class GAElem:
@@ -327,9 +335,10 @@ class GAElem:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        off = _pack_offset(self.rank)
-        a_items = [(_pack(w) - off, tuple(c.terms.items())) for w, c in a.items()]
-        b_items = [(_pack(w), tuple(c.terms.items())) for w, c in b.items()]
+        bits = _lane_bits(_max_coord(a) + _max_coord(b))
+        off = _pack((0,) * self.rank, bits)
+        a_items = [(_pack(w, bits) - off, tuple(c.terms.items())) for w, c in a.items()]
+        b_items = [(_pack(w, bits), tuple(c.terms.items())) for w, c in b.items()]
         res: dict[int, dict[int, Coeff]] = {}
         for wa, ca in a_items:
             for wb, cb in b_items:
@@ -348,7 +357,7 @@ class GAElem:
         out = GAElem.__new__(GAElem)
         out.rank = self.rank
         out.terms = {
-            _unpack(w, self.rank): QLaurent(d) for w, d in res.items() if d
+            _unpack(w, self.rank, bits): QLaurent(d) for w, d in res.items() if d
         }
         return out
 
@@ -368,14 +377,6 @@ class GAElem:
         if not c:
             return GAElem.zero(self.rank)
         return GAElem(self.rank, {w: v * c for w, v in self.terms.items()})
-
-    def mul_exponential(self, w: Weight, coeff: QLaurent = QL_ONE) -> "GAElem":
-        shift = w.dbl
-        res = {
-            tuple(x + y for x, y in zip(key, shift)): c * coeff
-            for key, c in self.terms.items()
-        }
-        return GAElem(self.rank, res)
 
     # -- structure ---------------------------------------------------------
 
@@ -413,17 +414,25 @@ class GAElem:
     # -- exact division ------------------------------------------------------
 
     def div_exact(self, den: "GAElem") -> "GAElem":
-        """Exact quotient self/den by leading-term cancellation.
+        """Exact quotient self/den; raises NotDivisible when there is none.
 
-        Quotient support is confined to the coordinate box
-        [min(num)-min(den), max(num)-max(den)] (per coordinate); leaving the
-        box, or a coefficient failing to divide, proves the division inexact.
+        A binomial e^u - e^v with u > v, the shape of every factor of the
+        Weyl denominator, is divided by the chain-sum kernel
+        (:meth:`_div_chains`).  Any other denominator goes through
+        leading-term elimination: the quotient support is confined to the
+        coordinate box [min(num)-min(den), max(num)-max(den)] (per
+        coordinate), and leaving the box, or a coefficient failing to
+        divide, proves the division inexact.
         """
         self._check(den)
         if not den.terms:
             raise DivisionByZero("division by zero element")
         if not self.terms:
             return GAElem.zero(self.rank)
+        if len(den.terms) == 2:
+            u, v = sorted(den.terms, reverse=True)
+            if den.terms[u].terms == {0: 1} and den.terms[v].terms == {0: -1}:
+                return self._div_chains(u, v)
         n = self.rank
         num_keys = list(self.terms)
         den_keys = list(den.terms)
@@ -437,16 +446,16 @@ class GAElem:
         )
         if any(a > b for a, b in zip(lo, hi)):
             raise NotDivisible("denominator support wider than numerator")
-        if _constant_coeffs(self.terms) and _constant_coeffs(den.terms):
-            return self._div_exact_scalar(den, lo, hi)
-        off = _pack_offset(n)
-        lead_den = _pack(max(den.terms))
+        # remainder keys stay within max|den| of the box, shifts within 2 max|den|
+        bits = _lane_bits(_max_coord(self.terms) + 3 * _max_coord(den.terms))
+        off = _pack((0,) * n, bits)
+        lead_den = _pack(max(den.terms), bits)
         lead_den_coeff = den.terms[max(den.terms)]
         den_items = tuple(
-            (_pack(k), tuple(c.terms.items())) for k, c in den.terms.items()
+            (_pack(k, bits), tuple(c.terms.items())) for k, c in den.terms.items()
         )
         rem: dict[int, dict[int, Coeff]] = {
-            _pack(k): dict(c.terms) for k, c in self.terms.items()
+            _pack(k, bits): dict(c.terms) for k, c in self.terms.items()
         }
         # lazy max-heap of candidate leading keys (negated for heapq)
         heap = [-k for k in rem]
@@ -457,7 +466,7 @@ class GAElem:
             if w not in rem:
                 continue
             shift = w - lead_den  # packed quotient key, offset by `off`
-            t = _unpack(shift + off, n)
+            t = _unpack(shift + off, n, bits)
             if any(x < a or x > b for x, a, b in zip(t, lo, hi)):
                 raise NotDivisible("nonzero remainder in alternant division")
             try:
@@ -486,52 +495,44 @@ class GAElem:
                     del rem[k]
         return GAElem(self.rank, quot)
 
-    def _div_exact_scalar(self, den: "GAElem", lo, hi) -> "GAElem":
-        # same elimination with q-free coefficients held as plain numbers
-        n = self.rank
-        off = _pack_offset(n)
-        lead_key = max(den.terms)
-        lead_den = _pack(lead_key)
-        lead_val = den.terms[lead_key].terms[0]
-        den_items = tuple(
-            (_pack(k), c.terms[0]) for k, c in den.terms.items()
-        )
-        rem: dict[int, Coeff] = {
-            _pack(k): c.terms[0] for k, c in self.terms.items()
-        }
-        heap = [-k for k in rem]
-        heapq.heapify(heap)
-        quot: dict[tuple, QLaurent] = {}
-        while rem:
-            w = -heapq.heappop(heap)
-            if w not in rem:
-                continue
-            shift = w - lead_den
-            t = _unpack(shift + off, n)
-            if any(x < a or x > b for x, a, b in zip(t, lo, hi)):
-                raise NotDivisible("nonzero remainder in alternant division")
-            if lead_val == 1:
-                c = rem[w]
-            elif lead_val == -1:
-                c = -rem[w]
-            else:
-                c = Fraction(rem[w]) / lead_val
-                if c.denominator == 1:
-                    c = c.numerator
-            quot[t] = QLaurent({0: c})
-            for dk, dv in den_items:
-                k = shift + dk
-                prev = rem.get(k)
-                if prev is None:
-                    heapq.heappush(heap, -k)
-                    nv = -c * dv
-                else:
-                    nv = prev - c * dv
-                if nv:
-                    rem[k] = nv
-                elif k in rem:
-                    del rem[k]
-        return GAElem(self.rank, quot)
+    def _div_chains(self, u: tuple, v: tuple) -> "GAElem":
+        """self / (e^u - e^v) for u > v, by chain sums.
+
+        With d = u - v, self = y * (e^u - e^v) reads y[k-u] = self[k] +
+        y[k-u+d]: down each chain k, k-d, k-2d, ... of numerator keys the
+        quotient coefficient at k-u is the running sum of the numerator from
+        the top of the chain, so no coefficient is ever divided.  When every
+        chain sum returns to zero, y * (e^u - e^v) telescopes to self, so y
+        is the (unique) quotient and lies in the support box without a
+        per-term check.  A sum that does not return to zero walks out of the
+        box in the first coordinate i0 where d is nonzero (d[i0] > 0), which
+        proves the division inexact and ends the walk.
+        """
+        i0 = next(i for i in range(self.rank) if u[i] != v[i])
+        d = tuple(map(sub, u, v))
+        # (k - u)[i0] >= min(num)[i0] - v[i0]: the box floor, read on k
+        floor = min(map(itemgetter(i0), self.terms)) + d[i0]
+        num = dict(self.terms)
+        quot: dict[tuple, QLaurent] = {}  # keyed by k until the shift by -u
+        for top in sorted(num, reverse=True):
+            q = num.pop(top, None)  # None: consumed by a walk from above
+            k = top
+            while q is not None:
+                if k[i0] < floor:
+                    raise NotDivisible("nonzero remainder in alternant division")
+                quot[k] = q
+                k = tuple(map(sub, k, d))
+                c = num.pop(k, None)
+                if c is not None:
+                    acc = dict(q.terms)
+                    for e, x in c.terms.items():
+                        acc[e] = acc.get(e, 0) + x
+                    q = QLaurent(acc) or None  # drops zeros, via _norm_coeff
+        if any(u):
+            quot = {tuple(map(sub, k, u)): c for k, c in quot.items()}
+        out = GAElem.__new__(GAElem)
+        out.rank, out.terms = self.rank, quot
+        return out
 
     # -- evaluation ---------------------------------------------------------
 
@@ -675,24 +676,28 @@ def weyl_denominator(rs: RootSystem, mode: str = "alternant") -> GAElem:
 
 
 def divide_by_denominator(x: GAElem, rs: RootSystem) -> GAElem:
-    """Exact quotient x / Delta, performed root by root through the product
-    form of the denominator.
+    """Exact quotient x / Delta, one GAElem.div_exact stage per positive
+    root.
 
-    Each binomial stage is exact on its own whenever the full quotient
-    exists (the factors are non-zero-divisors), and two-term denominators
-    make the leading-term elimination linear in the support size.  The
-    one-shot division by the full alternant is available as
-    ``x.div_exact(weyl_denominator(rs))`` and must agree; the test suite
-    checks that.
+    Delta = e^rho * prod over alpha > 0 of (1 - e^(-alpha)), so x is divided
+    by each 1 - e^(-alpha), whose +1 sits on the lex-higher key 0, and
+    shifted by -rho once at the end.  Every stage takes the chain-sum
+    kernel of ``GAElem.div_exact``: linear in the sizes of its numerator and
+    quotient, for any q-Laurent coefficients, with no key shifted between
+    stages.  Each stage is exact on its own whenever the full quotient
+    exists (the factors are non-zero-divisors).  The one-shot division
+    ``x.div_exact(weyl_denominator(rs))`` takes the leading-term elimination
+    instead and must agree; the test suite checks that.
     """
+    zero = (0,) * rs.rank
     for alpha in rs.positive_roots:
-        half = tuple(d // 2 for d in alpha.dbl)
-        factor = GAElem(
-            rs.rank,
-            {half: QL_ONE, tuple(-d for d in half): -QL_ONE},
-        )
-        x = x.div_exact(factor)
-    return x
+        neg = tuple(-d for d in alpha.dbl)
+        x = x.div_exact(GAElem(rs.rank, {zero: QL_ONE, neg: -QL_ONE}))
+    shift = rs.rho.dbl
+    out = GAElem.__new__(GAElem)
+    out.rank = rs.rank
+    out.terms = {tuple(map(sub, k, shift)): c for k, c in x.terms.items()}
+    return out
 
 
 _char_cache: dict[tuple, GAElem] = {}
@@ -707,6 +712,10 @@ def weyl_character(rs: RootSystem, lam: Weight) -> GAElem:
         return cached
     if not rs.is_dominant(lam):
         raise NotDominant(f"{lam} is not dominant for {rs.lie_type.value}{rs.rank}")
+    if not rs.is_on_weight_lattice(lam):
+        raise NotOnWeightLattice(
+            f"{lam} is not on the weight lattice of {rs.lie_type.value}{rs.rank}"
+        )
     num = alternant(rs, lam + rs.rho)
     chi = divide_by_denominator(num, rs)
     _char_cache[key] = chi

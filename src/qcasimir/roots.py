@@ -49,6 +49,10 @@ class NotDominant(RootDataError):
     pass
 
 
+class NotOnWeightLattice(RootDataError):
+    pass
+
+
 class LieType(str, enum.Enum):
     B = "B"
     C = "C"

@@ -591,6 +591,7 @@ SUITES = (
     "thm44",
     "thm45",
     "thm46",
+    "torus",
     "oracle",
     "eigen",
     "jt",
@@ -626,6 +627,8 @@ def run_suite(
         type_suite(LieType.C)
     if suite == "thm46" or (suite == "all" and lie in (None, LieType.D)):
         type_suite(LieType.D)
+    if suite in ("all", "torus"):
+        cases.extend(hc_cases(in_scope_systems(lie, rank)))
     if suite in ("all", "oracle"):
         cases.extend(oracle_cases(in_scope_systems(lie, rank), points, seed))
     if suite in ("all", "eigen"):

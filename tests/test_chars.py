@@ -22,10 +22,12 @@ from qcasimir.chars import (
     weyl_character,
     weyl_denominator,
 )
+from qcasimir.casimir import ch_g_via_hooks
 from qcasimir.exact import NotDivisible, QLaurent, ZeroBase
 from qcasimir.roots import (
     LieType,
     NotDominant,
+    NotOnWeightLattice,
     Weight,
     build_root_system,
     eps,
@@ -225,6 +227,114 @@ class TestDivision:
                 assert chi.has_integral_support()
 
 
+def _rand_coeff(rng, kind):
+    if kind == "int":
+        return QLaurent({0: rng.choice([-3, -2, -1, 1, 2, 3])})
+    if kind == "fraction":
+        return QLaurent({0: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(2, 5))})
+    return QLaurent(
+        {rng.randint(-6, 6): Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(3)}
+    )
+
+
+def _rand_grid_elem(rank, rng, shift, kind, nterms=6, spread=3):
+    # shift 0: integral grid (even doubled coordinates), 1: spin grid
+    return GAElem(
+        rank,
+        {
+            tuple(2 * rng.randint(-spread, spread) + shift for _ in range(rank)): _rand_coeff(rng, kind)
+            for _ in range(nterms)
+        },
+    )
+
+
+def _binomial(rank, rng, shift):
+    """e^u - e^v with u > v, on the given grid."""
+    while True:
+        u, v = (tuple(2 * rng.randint(-2, 2) + shift for _ in range(rank)) for _ in range(2))
+        if u != v:
+            u, v = max(u, v), min(u, v)
+            return GAElem(rank, {u: ONE, v: -ONE})
+
+
+class TestChainKernel:
+    """The chain-sum division by e^u - e^v (u > v) that every stage of
+    divide_by_denominator takes."""
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "q"])
+    @pytest.mark.parametrize("shift", [0, 1], ids=["integral", "spin"])
+    def test_round_trip(self, kind, shift):
+        rng = random.Random(f"{kind}-{shift}")
+        for rank in (1, 2, 3):
+            for _ in range(15):
+                x = _rand_grid_elem(rank, rng, shift, kind)
+                f = _binomial(rank, rng, shift)
+                assert (x * f).div_exact(f) == x
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "q"])
+    def test_perturbed_numerator_not_divisible(self, kind):
+        rng = random.Random(5)
+        for rank in (1, 2, 3):
+            for shift in (0, 1):
+                for _ in range(10):
+                    x = _rand_grid_elem(rank, rng, shift, kind)
+                    f = _binomial(rank, rng, shift)
+                    w = tuple(rng.randint(-8, 8) for _ in range(rank))
+                    with pytest.raises(NotDivisible):
+                        (x * f + GAElem(rank, {w: ONE})).div_exact(f)
+
+    def test_chain_with_gaps_and_integral_fraction_sums(self):
+        # 1/2 e^(4,0) + 1/2 e^(0,0) - e^(-4,0) over e^(4,0) - e^(0,0): the
+        # running sum is 1/2, then 1 (held as int), then 0
+        num = GAElem(2, {(4, 0): QLaurent({0: Fraction(1, 2)}),
+                         (0, 0): QLaurent({0: Fraction(1, 2)}),
+                         (-4, 0): -ONE})
+        f = GAElem(2, {(4, 0): ONE, (0, 0): -ONE})
+        quot = num.div_exact(f)
+        assert quot == GAElem(2, {(0, 0): QLaurent({0: Fraction(1, 2)}), (-4, 0): ONE})
+        assert type(quot.terms[(-4, 0)].terms[0]) is int
+        # a chain through a gap: (e^(8) - e^(-4)) / (e^(4) - e^(0))
+        one_dim = GAElem(1, {(8,): ONE, (-4,): -ONE})
+        assert one_dim.div_exact(GAElem(1, {(4,): ONE, (0,): -ONE})) == GAElem(
+            1, {(4,): ONE, (0,): ONE, (-4,): ONE})
+
+    def test_other_binomials_take_the_general_path(self):
+        rng = random.Random(6)
+        for _ in range(10):
+            x = _rand_grid_elem(2, rng, 0, "q")
+            u, v = (2, 0), (0, -2)
+            for f in (GAElem(2, {u: ONE, v: ONE}),
+                      GAElem(2, {u: QLaurent({0: 2}), v: -ONE}),
+                      GAElem(2, {u: -ONE, v: ONE})):
+                assert (x * f).div_exact(f) == x
+            with pytest.raises(NotDivisible):
+                (x * f + GAElem.one(2)).div_exact(f)
+
+    @pytest.mark.parametrize("rs, ks", [(B2, (1, 2, 3)), (C3, (1, 2, 3)), (D4, (2, 3))],
+                             ids=["B2", "C3", "D4"])
+    def test_denominator_times_q_dependent_body(self, rs, ks):
+        delta = weyl_denominator(rs)
+        for k in ks:
+            body = ch_g_via_hooks(rs, k).body
+            assert not body.is_constant_in_q()
+            assert divide_by_denominator(delta * body, rs) == body
+
+
+class TestLaneWidth:
+    """Packed keys size their lanes from the operands."""
+
+    @pytest.mark.parametrize("a", [40000, -40000])
+    def test_product_beyond_16_bit_coordinates(self, a):
+        x = GAElem.exponential(Weight((a, 0))) * GAElem.exponential(Weight((0, 2)))
+        assert x.terms == {(a, 2): ONE}
+
+    @pytest.mark.parametrize("a", [40000, -40000])
+    def test_general_division_beyond_16_bit_coordinates(self, a):
+        x = GAElem(2, {(a, 2): QLaurent({1: 2}), (0, -a): ONE})
+        f = GAElem(2, {(a, 0): ONE, (0, 2): ONE, (-a, -a): QLaurent({0: 3})})
+        assert (x * f).div_exact(f) == x
+
+
 def _integral_dominant(rs, bound):
     from itertools import product as iproduct
 
@@ -253,6 +363,12 @@ class TestWeylCharacter:
     def test_rejects_non_dominant(self):
         with pytest.raises(NotDominant):
             weyl_character(B2, Weight((0, 2)))
+
+    def test_rejects_weight_off_the_lattice(self):
+        # half-integral weights are not weights of type C, nor are mixed ones
+        for rs, dbl in ((C3, (1, 1, 1)), (B3, (2, 1, 1)), (D4, (3, 1, 1, 0))):
+            with pytest.raises(NotOnWeightLattice):
+                weyl_character(rs, Weight(dbl))
 
     def test_w_invariance(self):
         for rs in (B2, C3):

@@ -65,6 +65,15 @@ def test_char_rejects_non_dominant(capsys):
     assert code == 2
 
 
+def test_char_off_the_weight_lattice_is_usage_error(capsys):
+    code, out, err = run(
+        capsys, "char", "--type", "C", "--rank", "3", "--lambda", "1/2,1/2,1/2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "not on the weight lattice of C3" in err
+
+
 def test_gnk_routes_agree(capsys):
     code, out_a, _ = run(
         capsys, "gnk", "--type", "C", "--rank", "3", "--k", "2"
@@ -149,6 +158,26 @@ def test_verify_block_suite_small(capsys):
     ids = [c["id"] for c in report["cases"]]
     assert "routes-C3-k5" in ids
     assert all(c["status"] == "pass" for c in report["cases"])
+
+
+def test_verify_torus_suite(capsys):
+    code, out, err = run(
+        capsys, "verify", "--suite", "torus", "--type", "B", "--rank", "2"
+    )
+    assert code == 0
+    assert err == ""
+    report = json.loads(out)
+    ids = [c["id"] for c in report["cases"]]
+    for kind in ("divisible", "classical", "invariant"):
+        assert [f"hc-{kind}-B2-ell{ell}" for ell in (1, 2)] == [
+            i for i in ids if i.startswith(f"hc-{kind}-")
+        ]
+    assert all(c["status"] == "pass" for c in report["cases"])
+    # --suite all runs the same cases
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--type", "B", "--rank", "2")
+    assert code == 0
+    all_cases = json.loads(out)["cases"]
+    assert [c for c in all_cases if c["id"].startswith("hc-")] == report["cases"]
 
 
 def test_verify_reports_are_deterministic(capsys):
