@@ -38,7 +38,6 @@ from .chars import (
 from .exact import Coeff, NotDivisible, QLaurent
 from .roots import (
     LieType,
-    NotDominant,
     RootSystem,
     Weight,
     eps,
@@ -283,8 +282,7 @@ def hc_at_weight(rs: RootSystem, ell: int, lam: Weight) -> QLaurent:
     """The binomial combination with e^{eps_a} := q^{2(lam + rho, eps_a)}:
     (q^{-1} - q)^ell times the eigenvalue of the order-ell invariant on the
     simple module of highest weight lam, as a Laurent polynomial in q."""
-    if not rs.is_dominant(lam):
-        raise NotDominant(f"{lam} is not dominant")
+    rs.check_highest_weight(lam)
     lam_rho = (lam + rs.rho).dbl
     num: dict[int, Coeff] = {}
     for w, c in hc_combination(rs, ell).terms.items():
@@ -450,8 +448,7 @@ def eigenvalue_direct(
     in types B and D, where the two index signs of the last coordinate
     collide) raise DegenerateEvaluation.
     """
-    if not rs.is_dominant(lam):
-        raise NotDominant(f"{lam} is not dominant")
+    rs.check_highest_weight(lam)
     if ell < 0:
         raise ValueError("ell must be >= 0")
     if ell == 0:
@@ -512,8 +509,7 @@ def eigenvalue_via_hc(
 ) -> Fraction:
     """The same scalar from the symbolic torus image: evaluate it at
     e^{eps_a} := q^{(2 eps_a, lam + rho)}."""
-    if not rs.is_dominant(lam):
-        raise NotDominant(f"{lam} is not dominant")
+    rs.check_highest_weight(lam)
     if ell < 0:
         raise ValueError("ell must be >= 0")
     sf = Fraction(s)

@@ -7,51 +7,47 @@ Group elements act on weights coordinate-wise, and the antisymmetrizer
 ``sum over w of sgn(w) * w`` produces alternants.
 
 :class:`GAElem` is a finite formal sum of exponentials e^mu with q-Laurent
-coefficients, keyed by the doubled coordinates of mu.  Characters are
-quotients of alternants by the Weyl denominator Delta = e^rho * prod over
-positive roots of (1 - e^(-alpha)), divided one binomial factor at a time.
-A binomial e^u - e^v with u > v is divided by summing the numerator down
-each chain k, k - (u - v), ...: the running sum is the quotient
-coefficient, and the division is exact exactly when every chain sum returns
-to zero, so no coefficient is ever divided.  Other denominators go through
-lexicographic leading-term elimination, whose remainder reaching zero
-certifies exactness.  Monomial order is lexicographic on doubled
-coordinates, highest first (Python tuple comparison).
+coefficients, keyed by the doubled coordinates of mu.  It is the Laurent
+ring :class:`~qcasimir.exact.EPoly` with E_i read as e^(eps_i/2), and takes
+its ring arithmetic, packed products and leading-term division from there;
+this module adds only what depends on weights.  Characters are quotients of
+alternants by the Weyl denominator Delta = e^rho * prod over positive roots
+of (1 - e^(-alpha)), divided one binomial factor at a time.  A binomial
+e^u - e^v with u > v is divided by summing the numerator down each chain k,
+k - (u - v), ...: the running sum is the quotient coefficient, and the
+division is exact exactly when every chain sum returns to zero, so no
+coefficient is ever divided.  Other denominators go through lexicographic
+leading-term elimination, whose remainder reaching zero certifies
+exactness.  Monomial order is lexicographic on doubled coordinates, highest
+first (Python tuple comparison).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, permutations, product
+from itertools import permutations, product
 from operator import itemgetter, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from .exact import (
     QL_ONE,
-    QL_ZERO,
     Coeff,
-    DivisionByZero,
+    EPoly,
     NotDivisible,
     QLaurent,
+    RankMismatch,
     ZeroBase,
 )
 from .roots import (
     LieType,
-    NotDominant,
-    NotOnWeightLattice,
     RootSystem,
     Weight,
 )
 
 
 class RankTooLargeForEnumeration(ValueError):
-    pass
-
-
-class RankMismatch(ValueError):
     pass
 
 
@@ -140,10 +136,6 @@ def _act_dbl(
     return tuple(out)
 
 
-def sgn(w: SignedPerm, rs: RootSystem | None = None) -> int:
-    return w.sgn()
-
-
 def enumerate_weyl(rs: RootSystem) -> list[SignedPerm]:
     """All group elements; 2^n * n! for types B/C, half that for type D."""
     n = rs.rank
@@ -209,182 +201,27 @@ def coset_representatives(rs: RootSystem) -> list[SignedPerm]:
     return reps
 
 
-# Products and leading-term division pack a doubled-coordinate tuple into
-# one int, coordinate 0 in the most significant lane, each lane offset
-# by half its range.  Packed ints then compare exactly like tuples under lex
-# order, and key addition is a single int add (minus the offset constant).
-# Each caller sizes the lanes from a bound on every coordinate it will form,
-# so no lane can wrap into its neighbour.
-
-
-def _max_coord(terms: Mapping[tuple, object]) -> int:
-    return max(map(abs, chain.from_iterable(terms)), default=0)
-
-
-def _lane_bits(bound: int) -> int:
-    """Lane width holding every coordinate in [-bound, bound]."""
-    return bound.bit_length() + 1
-
-
-def _pack(key: tuple[int, ...], bits: int) -> int:
-    base = 1 << (bits - 1)
-    acc = 0
-    for c in key:
-        acc = (acc << bits) | (c + base)
-    return acc
-
-
-def _unpack(packed: int, n: int, bits: int) -> tuple[int, ...]:
-    base = 1 << (bits - 1)
-    mask = (1 << bits) - 1
-    out = [0] * n
-    for i in range(n - 1, -1, -1):
-        out[i] = (packed & mask) - base
-        packed >>= bits
-    return tuple(out)
-
-
-class GAElem:
+class GAElem(EPoly):
     """Finite sum of formal exponentials of weights with QLaurent coefficients.
 
-    ``terms`` maps doubled-coordinate tuples to nonzero QLaurent values.
-    Immutable; supports ring arithmetic, the Weyl action, exact division and
+    The ring is :class:`EPoly` with E_i read as e^(eps_i/2): ``terms`` maps
+    the doubled coordinates of each weight to a nonzero QLaurent value.
+    Immutable; adds the Weyl action, the chain-sum division by binomials and
     exact evaluation.
     """
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ()
+    _json_key = "weight"
 
-    def __init__(self, rank: int, terms: Mapping[tuple, QLaurent] | None = None):
-        self.rank = rank
-        if terms:
-            self.terms = {w: c for w, c in terms.items() if c}
-        else:
-            self.terms = {}
-
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def zero(rank: int) -> "GAElem":
-        return GAElem(rank)
-
-    @staticmethod
-    def one(rank: int) -> "GAElem":
-        return GAElem(rank, {(0,) * rank: QL_ONE})
+    # in this class body because perfbench/tracing.py wraps it through
+    # vars(GAElem), as a layer apart from EPoly.__mul__
+    __mul__ = EPoly.__mul__
 
     @staticmethod
     def exponential(w: Weight, coeff: QLaurent = QL_ONE) -> "GAElem":
         return GAElem(len(w.dbl), {w.dbl: coeff})
 
-    @staticmethod
-    def constant(rank: int, c: QLaurent) -> "GAElem":
-        return GAElem(rank, {(0,) * rank: c})
-
-    # -- ring structure ---------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GAElem):
-            return NotImplemented
-        return self.rank == other.rank and self.terms == other.terms
-
-    def _check(self, other: "GAElem"):
-        if self.rank != other.rank:
-            raise RankMismatch("ranks differ")
-
-    def __add__(self, other: "GAElem") -> "GAElem":
-        self._check(other)
-        res = dict(self.terms)
-        for w, c in other.terms.items():
-            prev = res.get(w)
-            nc = c if prev is None else prev + c
-            if nc:
-                res[w] = nc
-            elif w in res:
-                del res[w]
-        out = GAElem.__new__(GAElem)
-        out.rank, out.terms = self.rank, res
-        return out
-
-    def __neg__(self) -> "GAElem":
-        out = GAElem.__new__(GAElem)
-        out.rank = self.rank
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "GAElem") -> "GAElem":
-        self._check(other)
-        res = dict(self.terms)
-        for w, c in other.terms.items():
-            prev = res.get(w)
-            nc = -c if prev is None else prev - c
-            if nc:
-                res[w] = nc
-            elif w in res:
-                del res[w]
-        out = GAElem.__new__(GAElem)
-        out.rank, out.terms = self.rank, res
-        return out
-
-    def __mul__(self, other: "GAElem") -> "GAElem":
-        self._check(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        bits = _lane_bits(_max_coord(a) + _max_coord(b))
-        off = _pack((0,) * self.rank, bits)
-        a_items = [(_pack(w, bits) - off, tuple(c.terms.items())) for w, c in a.items()]
-        b_items = [(_pack(w, bits), tuple(c.terms.items())) for w, c in b.items()]
-        res: dict[int, dict[int, Coeff]] = {}
-        for wa, ca in a_items:
-            for wb, cb in b_items:
-                w = wa + wb
-                acc = res.get(w)
-                if acc is None:
-                    acc = res[w] = {}
-                for ea, va in ca:
-                    for eb, vb in cb:
-                        e = ea + eb
-                        nv = acc.get(e, 0) + va * vb
-                        if nv:
-                            acc[e] = nv
-                        elif e in acc:
-                            del acc[e]
-        out = GAElem.__new__(GAElem)
-        out.rank = self.rank
-        out.terms = {
-            _unpack(w, self.rank, bits): QLaurent(d) for w, d in res.items() if d
-        }
-        return out
-
-    def __pow__(self, n: int) -> "GAElem":
-        if n < 0:
-            raise ValueError("negative power")
-        result = GAElem.one(self.rank)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def scale(self, c: QLaurent) -> "GAElem":
-        if not c:
-            return GAElem.zero(self.rank)
-        return GAElem(self.rank, {w: v * c for w, v in self.terms.items()})
-
     # -- structure ---------------------------------------------------------
-
-    def coeff(self, w: Weight) -> QLaurent:
-        return self.terms.get(w.dbl, QL_ZERO)
-
-    def support(self) -> list[Weight]:
-        return [Weight(w) for w in sorted(self.terms)]
 
     def has_integral_support(self) -> bool:
         return all(all(d % 2 == 0 for d in w) for w in self.terms)
@@ -418,82 +255,15 @@ class GAElem:
 
         A binomial e^u - e^v with u > v, the shape of every factor of the
         Weyl denominator, is divided by the chain-sum kernel
-        (:meth:`_div_chains`).  Any other denominator goes through
-        leading-term elimination: the quotient support is confined to the
-        coordinate box [min(num)-min(den), max(num)-max(den)] (per
-        coordinate), and leaving the box, or a coefficient failing to
-        divide, proves the division inexact.
+        (:meth:`_div_chains`).  Any other denominator goes through the
+        leading-term elimination of :meth:`EPoly.div_exact`.
         """
-        self._check(den)
-        if not den.terms:
-            raise DivisionByZero("division by zero element")
-        if not self.terms:
-            return GAElem.zero(self.rank)
-        if len(den.terms) == 2:
+        if self.terms and len(den.terms) == 2:
+            self._check(den)
             u, v = sorted(den.terms, reverse=True)
             if den.terms[u].terms == {0: 1} and den.terms[v].terms == {0: -1}:
                 return self._div_chains(u, v)
-        n = self.rank
-        num_keys = list(self.terms)
-        den_keys = list(den.terms)
-        lo = tuple(
-            min(k[i] for k in num_keys) - min(k[i] for k in den_keys)
-            for i in range(n)
-        )
-        hi = tuple(
-            max(k[i] for k in num_keys) - max(k[i] for k in den_keys)
-            for i in range(n)
-        )
-        if any(a > b for a, b in zip(lo, hi)):
-            raise NotDivisible("denominator support wider than numerator")
-        # remainder keys stay within max|den| of the box, shifts within 2 max|den|
-        bits = _lane_bits(_max_coord(self.terms) + 3 * _max_coord(den.terms))
-        off = _pack((0,) * n, bits)
-        lead_den = _pack(max(den.terms), bits)
-        lead_den_coeff = den.terms[max(den.terms)]
-        den_items = tuple(
-            (_pack(k, bits), tuple(c.terms.items())) for k, c in den.terms.items()
-        )
-        rem: dict[int, dict[int, Coeff]] = {
-            _pack(k, bits): dict(c.terms) for k, c in self.terms.items()
-        }
-        # lazy max-heap of candidate leading keys (negated for heapq)
-        heap = [-k for k in rem]
-        heapq.heapify(heap)
-        quot: dict[tuple, QLaurent] = {}
-        while rem:
-            w = -heapq.heappop(heap)
-            if w not in rem:
-                continue
-            shift = w - lead_den  # packed quotient key, offset by `off`
-            t = _unpack(shift + off, n, bits)
-            if any(x < a or x > b for x, a, b in zip(t, lo, hi)):
-                raise NotDivisible("nonzero remainder in alternant division")
-            try:
-                c = QLaurent(rem[w]).div_exact(lead_den_coeff)
-            except NotDivisible as exc:
-                raise NotDivisible(
-                    "leading coefficient does not divide"
-                ) from exc
-            quot[t] = c
-            c_items = tuple(c.terms.items())
-            for dk, dc in den_items:
-                k = shift + dk
-                acc = rem.get(k)
-                if acc is None:
-                    acc = rem[k] = {}
-                    heapq.heappush(heap, -k)
-                for e1, v1 in c_items:
-                    for e2, v2 in dc:
-                        e = e1 + e2
-                        nv = acc.get(e, 0) - v1 * v2
-                        if nv:
-                            acc[e] = nv
-                        elif e in acc:
-                            del acc[e]
-                if not acc:
-                    del rem[k]
-        return GAElem(self.rank, quot)
+        return super().div_exact(den)
 
     def _div_chains(self, u: tuple, v: tuple) -> "GAElem":
         """self / (e^u - e^v) for u > v, by chain sums.
@@ -530,9 +300,7 @@ class GAElem:
                     q = QLaurent(acc) or None  # drops zeros, via _norm_coeff
         if any(u):
             quot = {tuple(map(sub, k, u)): c for k, c in quot.items()}
-        out = GAElem.__new__(GAElem)
-        out.rank, out.terms = self.rank, quot
-        return out
+        return self._like(quot)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -563,26 +331,7 @@ class GAElem:
             total += val
         return total
 
-    # -- serialization --------------------------------------------------------
-
-    def to_json(self) -> list:
-        return [
-            {"weight": list(w), "coeff": self.terms[w].to_json()}
-            for w in sorted(self.terms)
-        ]
-
-    @staticmethod
-    def from_json(rank: int, data: Iterable[Mapping]) -> "GAElem":
-        return GAElem(
-            rank,
-            {
-                tuple(t["weight"]): QLaurent.from_json(t["coeff"])
-                for t in data
-            },
-        )
-
-    def __repr__(self) -> str:
-        return f"GAElem(rank={self.rank}, {len(self.terms)} terms)"
+    # -- display --------------------------------------------------------------
 
     def format(self) -> str:
         if not self.terms:
@@ -603,10 +352,6 @@ class GAElem:
             else:
                 parts.append(c)
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def act(w: SignedPerm, x: GAElem) -> GAElem:
-    return x.act(w)
 
 
 def antisymmetrize(x: GAElem, rs: RootSystem) -> GAElem:
@@ -694,10 +439,7 @@ def divide_by_denominator(x: GAElem, rs: RootSystem) -> GAElem:
         neg = tuple(-d for d in alpha.dbl)
         x = x.div_exact(GAElem(rs.rank, {zero: QL_ONE, neg: -QL_ONE}))
     shift = rs.rho.dbl
-    out = GAElem.__new__(GAElem)
-    out.rank = rs.rank
-    out.terms = {tuple(map(sub, k, shift)): c for k, c in x.terms.items()}
-    return out
+    return x._like({tuple(map(sub, k, shift)): c for k, c in x.terms.items()})
 
 
 _char_cache: dict[tuple, GAElem] = {}
@@ -710,12 +452,7 @@ def weyl_character(rs: RootSystem, lam: Weight) -> GAElem:
     cached = _char_cache.get(key)
     if cached is not None:
         return cached
-    if not rs.is_dominant(lam):
-        raise NotDominant(f"{lam} is not dominant for {rs.lie_type.value}{rs.rank}")
-    if not rs.is_on_weight_lattice(lam):
-        raise NotOnWeightLattice(
-            f"{lam} is not on the weight lattice of {rs.lie_type.value}{rs.rank}"
-        )
+    rs.check_highest_weight(lam)
     num = alternant(rs, lam + rs.rho)
     chi = divide_by_denominator(num, rs)
     _char_cache[key] = chi

@@ -82,12 +82,8 @@ def _halve_ql(c: QLaurent, context: str) -> QLaurent:
     return QLaurent(out)
 
 
-def _halve_ga(x: GAElem, context: str) -> GAElem:
-    return GAElem(x.rank, {w: _halve_ql(c, context) for w, c in x.terms.items()})
-
-
-def _halve_epoly(p: EPoly, context: str) -> EPoly:
-    return EPoly(p.nsyms, {m: _halve_ql(c, context) for m, c in p.terms.items()})
+def _halve(x: EPoly, context: str) -> EPoly:
+    return type(x)(x.rank, {m: _halve_ql(c, context) for m, c in x.terms.items()})
 
 
 class _ESymbols:
@@ -163,7 +159,7 @@ def jt_character(rs: RootSystem, parts, target: str = "ga"):
         if not parts:
             return GAElem.one(rs.rank)
         det = det_exact(_jt_matrix(rs, parts, _GASymbols(rs)))
-        return _halve_ga(det, context) if halve else det
+        return _halve(det, context) if halve else det
     if target != "e":
         raise ValueError(f"unknown target {target!r}")
     if not parts:
@@ -171,7 +167,7 @@ def jt_character(rs: RootSystem, parts, target: str = "ga"):
     syms = _ESymbols(rs)
     det = det_exact(_jt_matrix(rs, parts, syms))
     if halve:
-        det = _halve_epoly(det, context)
+        det = _halve(det, context)
     return EBasisExpr(det, tuple(syms.foldings))
 
 

@@ -1,4 +1,5 @@
-"""Exact arithmetic foundations: the q-Laurent ring and abstract polynomials.
+"""Exact arithmetic foundations: the q-Laurent ring and the n-variable
+Laurent ring over it.
 
 All scalar arithmetic in this package is exact.  Rational numbers are
 ``fractions.Fraction`` (plain ``int`` is accepted wherever a rational is,
@@ -7,9 +8,12 @@ polynomial in an internal variable ``v = q^(1/4)``: exponents are stored in
 quarter units, so every pairing of weights that occurs in types B, C, D
 (including spin weights, whose pairings land in (1/4)Z) stays on the grid.
 
-:class:`EPoly` is a sparse polynomial in a fixed number of abstract symbols
-``E1..En`` with :class:`QLaurent` coefficients; it carries no meaning of its
-own and is used to express characters "in the exterior-power basis".
+:class:`EPoly` is the one sparse Laurent polynomial ring in n variables
+``E1..En`` with :class:`QLaurent` coefficients.  On its own it expresses
+characters "in the exterior-power basis"; ``chars.GAElem`` is the same ring
+with E_i read as e^(eps_i/2), the group algebra of the weight lattice keyed
+by doubled coordinates.  Products and leading-term division run on packed
+integer keys whose lane widths are sized from the operands.
 
 Exact division is single-variable leading-term elimination for
 :class:`QLaurent` and box-bounded lexicographic elimination for
@@ -21,7 +25,9 @@ Bareiss elimination, which serve as cross-checks of one another.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -279,42 +285,94 @@ QL_ZERO = QLaurent.zero()
 QL_ONE = QLaurent.one()
 
 
-class EPoly:
-    """Sparse polynomial in abstract symbols E1..En over the q-Laurent ring.
+class RankMismatch(ValueError):
+    pass
 
-    ``terms`` maps exponent tuples (len == nsyms, entries >= 0) to nonzero
-    QLaurent coefficients.  Immutable.
+
+# Products and leading-term division pack an exponent tuple into one int,
+# coordinate 0 in the most significant lane, each lane offset by half its
+# range.  Packed ints then compare exactly like tuples under lex order, and
+# key addition is a single int add (minus the offset constant).  Each caller
+# sizes the lanes from a bound on every coordinate it will form, so no lane
+# can wrap into its neighbour.
+
+
+def _max_coord(terms: Mapping[tuple, object]) -> int:
+    return max(map(abs, chain.from_iterable(terms)), default=0)
+
+
+def _lane_bits(bound: int) -> int:
+    """Lane width holding every coordinate in [-bound, bound]."""
+    return bound.bit_length() + 1
+
+
+def _pack(key: tuple[int, ...], bits: int) -> int:
+    base = 1 << (bits - 1)
+    acc = 0
+    for c in key:
+        acc = (acc << bits) | (c + base)
+    return acc
+
+
+def _unpack(packed: int, n: int, bits: int) -> tuple[int, ...]:
+    base = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    out = [0] * n
+    for i in range(n - 1, -1, -1):
+        out[i] = (packed & mask) - base
+        packed >>= bits
+    return tuple(out)
+
+
+class EPoly:
+    """Sparse Laurent polynomial in E_1..E_n over the q-Laurent ring.
+
+    ``terms`` maps exponent tuples (len == rank, entries of any sign) to
+    nonzero QLaurent coefficients.  Immutable; every operation returns an
+    instance of its operand's class, and only instances of the same class
+    and rank combine or compare equal.
     """
 
-    __slots__ = ("nsyms", "terms")
+    __slots__ = ("rank", "terms")
+    _json_key = "exps"
 
-    def __init__(self, nsyms: int, terms: Mapping[tuple, QLaurent] | None = None):
-        self.nsyms = nsyms
+    def __init__(self, rank: int, terms: Mapping[tuple, QLaurent] | None = None):
+        self.rank = rank
         if terms:
             self.terms = {m: c for m, c in terms.items() if c}
         else:
             self.terms = {}
 
-    @staticmethod
-    def zero(nsyms: int) -> "EPoly":
-        return EPoly(nsyms)
+    def _like(self, terms: dict) -> "EPoly":
+        # same class and rank; ``terms`` is taken as is, zeros already dropped
+        out = object.__new__(type(self))
+        out.rank, out.terms = self.rank, terms
+        return out
 
-    @staticmethod
-    def constant(nsyms: int, c: QLaurent) -> "EPoly":
-        return EPoly(nsyms, {(0,) * nsyms: c})
+    # -- constructors ---------------------------------------------------
 
-    @staticmethod
-    def one(nsyms: int) -> "EPoly":
-        return EPoly.constant(nsyms, QL_ONE)
+    @classmethod
+    def zero(cls, rank: int) -> "EPoly":
+        return cls(rank)
 
-    @staticmethod
-    def symbol(nsyms: int, i: int, coeff: QLaurent = QL_ONE) -> "EPoly":
+    @classmethod
+    def constant(cls, rank: int, c: QLaurent) -> "EPoly":
+        return cls(rank, {(0,) * rank: c})
+
+    @classmethod
+    def one(cls, rank: int) -> "EPoly":
+        return cls.constant(rank, QL_ONE)
+
+    @classmethod
+    def symbol(cls, rank: int, i: int, coeff: QLaurent = QL_ONE) -> "EPoly":
         """The symbol E_i (1-based)."""
-        if not 1 <= i <= nsyms:
-            raise IndexError(f"symbol index {i} out of range 1..{nsyms}")
-        exps = [0] * nsyms
+        if not 1 <= i <= rank:
+            raise IndexError(f"symbol index {i} out of range 1..{rank}")
+        exps = [0] * rank
         exps[i - 1] = 1
-        return EPoly(nsyms, {tuple(exps): coeff})
+        return cls(rank, {tuple(exps): coeff})
+
+    # -- ring structure ---------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -325,56 +383,79 @@ class EPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EPoly):
             return NotImplemented
-        return self.nsyms == other.nsyms and self.terms == other.terms
+        return (
+            type(self) is type(other)
+            and self.rank == other.rank
+            and self.terms == other.terms
+        )
 
     def _check(self, other: "EPoly"):
-        if self.nsyms != other.nsyms:
-            raise ValueError("mixed symbol counts")
+        if type(other) is not type(self):
+            raise TypeError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}"
+            )
+        if self.rank != other.rank:
+            raise RankMismatch("ranks differ")
 
     def __add__(self, other: "EPoly") -> "EPoly":
         self._check(other)
         res = dict(self.terms)
         for m, c in other.terms.items():
-            nc = res.get(m)
-            nc = c if nc is None else nc + c
+            prev = res.get(m)
+            nc = c if prev is None else prev + c
             if nc:
                 res[m] = nc
             elif m in res:
                 del res[m]
-        out = EPoly.__new__(EPoly)
-        out.nsyms, out.terms = self.nsyms, res
-        return out
+        return self._like(res)
 
     def __neg__(self) -> "EPoly":
-        out = EPoly.__new__(EPoly)
-        out.nsyms = self.nsyms
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return self._like({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "EPoly") -> "EPoly":
-        return self + (-other)
+        self._check(other)
+        res = dict(self.terms)
+        for m, c in other.terms.items():
+            prev = res.get(m)
+            nc = -c if prev is None else prev - c
+            if nc:
+                res[m] = nc
+            elif m in res:
+                del res[m]
+        return self._like(res)
 
     def __mul__(self, other: "EPoly") -> "EPoly":
         self._check(other)
-        res: dict[tuple, QLaurent] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = tuple(x + y for x, y in zip(ma, mb))
-                c = ca * cb
-                nc = res.get(m)
-                nc = c if nc is None else nc + c
-                if nc:
-                    res[m] = nc
-                elif m in res:
-                    del res[m]
-        out = EPoly.__new__(EPoly)
-        out.nsyms, out.terms = self.nsyms, res
-        return out
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        bits = _lane_bits(_max_coord(a) + _max_coord(b))
+        off = _pack((0,) * self.rank, bits)
+        a_items = [(_pack(m, bits) - off, tuple(c.terms.items())) for m, c in a.items()]
+        b_items = [(_pack(m, bits), tuple(c.terms.items())) for m, c in b.items()]
+        res: dict[int, dict[int, Coeff]] = {}
+        for ma, ca in a_items:
+            for mb, cb in b_items:
+                m = ma + mb
+                acc = res.get(m)
+                if acc is None:
+                    acc = res[m] = {}
+                for ea, va in ca:
+                    for eb, vb in cb:
+                        e = ea + eb
+                        nv = acc.get(e, 0) + va * vb
+                        if nv:
+                            acc[e] = nv
+                        elif e in acc:
+                            del acc[e]
+        return self._like(
+            {_unpack(m, self.rank, bits): QLaurent(d) for m, d in res.items() if d}
+        )
 
     def __pow__(self, n: int) -> "EPoly":
         if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = EPoly.one(self.nsyms)
+            raise ValueError("negative power: divide exactly instead")
+        result = self.one(self.rank)
         base = self
         while n:
             if n & 1:
@@ -385,8 +466,8 @@ class EPoly:
 
     def scale(self, c: QLaurent) -> "EPoly":
         if not c:
-            return EPoly.zero(self.nsyms)
-        return EPoly(self.nsyms, {m: v * c for m, v in self.terms.items()})
+            return self.zero(self.rank)
+        return type(self)(self.rank, {m: v * c for m, v in self.terms.items()})
 
     def coeff(self, exps: tuple) -> QLaurent:
         return self.terms.get(tuple(exps), QL_ZERO)
@@ -413,14 +494,14 @@ class EPoly:
                 add = c * k
                 prev = res.get(key)
                 res[key] = add if prev is None else prev + add
-        return EPoly(self.nsyms, res)
+        return type(self)(self.rank, res)
 
     def substitute(self, values: Sequence, one):
         """Evaluate with E_i := values[i-1] in any ring with +, *, .scale().
 
         ``one`` must be the multiplicative identity of the target ring.
         """
-        if len(values) != self.nsyms:
+        if len(values) != self.rank:
             raise ValueError("need one value per symbol")
         total = None
         for m, c in self.terms.items():
@@ -434,67 +515,102 @@ class EPoly:
             return one.scale(QL_ZERO)
         return total
 
+    # -- exact division ------------------------------------------------------
+
     def div_exact(self, den: "EPoly") -> "EPoly":
         """Exact quotient via lexicographic leading-term elimination.
 
-        Quotient monomials are confined to the per-symbol degree box
-        [0, max_i(num) - max_i(den)]; stepping outside it proves the
-        division inexact, which bounds the loop.
+        The quotient support is confined to the coordinate box
+        [min(num)-min(den), max(num)-max(den)] (per coordinate), and leaving
+        the box, or a coefficient failing to divide, proves the division
+        inexact.  A lazy max-heap of packed keys finds each leading term.
         """
         self._check(den)
         if not den.terms:
             raise DivisionByZero("division by the zero polynomial")
         if not self.terms:
-            return EPoly.zero(self.nsyms)
-        lead_den = max(den.terms)
-        den_lead_coeff = den.terms[lead_den]
-        box = tuple(
-            max(m[i] for m in self.terms) - max(m[i] for m in den.terms)
-            for i in range(self.nsyms)
+            return self.zero(self.rank)
+        n = self.rank
+        num_keys = list(self.terms)
+        den_keys = list(den.terms)
+        lo = tuple(
+            min(k[i] for k in num_keys) - min(k[i] for k in den_keys)
+            for i in range(n)
         )
-        if any(b < 0 for b in box):
-            raise NotDivisible("denominator degree exceeds numerator degree")
-        rem = dict(self.terms)
+        hi = tuple(
+            max(k[i] for k in num_keys) - max(k[i] for k in den_keys)
+            for i in range(n)
+        )
+        if any(a > b for a, b in zip(lo, hi)):
+            raise NotDivisible("denominator support wider than numerator")
+        # remainder keys stay within max|den| of the box, shifts within 2 max|den|
+        bits = _lane_bits(_max_coord(self.terms) + 3 * _max_coord(den.terms))
+        off = _pack((0,) * n, bits)
+        lead = max(den_keys)
+        lead_den, lead_den_coeff = _pack(lead, bits), den.terms[lead]
+        den_items = tuple(
+            (_pack(k, bits), tuple(c.terms.items())) for k, c in den.terms.items()
+        )
+        rem: dict[int, dict[int, Coeff]] = {
+            _pack(k, bits): dict(c.terms) for k, c in self.terms.items()
+        }
+        # lazy max-heap of candidate leading keys (negated for heapq)
+        heap = [-k for k in rem]
+        heapq.heapify(heap)
         quot: dict[tuple, QLaurent] = {}
         while rem:
-            lead_rem = max(rem)
-            t = tuple(a - b for a, b in zip(lead_rem, lead_den))
-            if any(x < 0 for x in t) or any(x > b for x, b in zip(t, box)):
+            m = -heapq.heappop(heap)
+            if m not in rem:
+                continue
+            shift = m - lead_den  # packed quotient key, offset by `off`
+            t = _unpack(shift + off, n, bits)
+            if any(x < a or x > b for x, a, b in zip(t, lo, hi)):
                 raise NotDivisible("nonzero remainder in polynomial division")
-            c = rem[lead_rem].div_exact(den_lead_coeff)
+            try:
+                c = QLaurent(rem[m]).div_exact(lead_den_coeff)
+            except NotDivisible as exc:
+                raise NotDivisible("leading coefficient does not divide") from exc
             quot[t] = c
-            for m, dc in den.terms.items():
-                k = tuple(a + b for a, b in zip(m, t))
-                sub = c * dc
-                nc = rem.get(k)
-                nc = -sub if nc is None else nc - sub
-                if nc:
-                    rem[k] = nc
-                elif k in rem:
+            c_items = tuple(c.terms.items())
+            for dk, dc in den_items:
+                k = shift + dk
+                acc = rem.get(k)
+                if acc is None:
+                    acc = rem[k] = {}
+                    heapq.heappush(heap, -k)
+                for e1, v1 in c_items:
+                    for e2, v2 in dc:
+                        e = e1 + e2
+                        nv = acc.get(e, 0) - v1 * v2
+                        if nv:
+                            acc[e] = nv
+                        elif e in acc:
+                            del acc[e]
+                if not acc:
                     del rem[k]
-        return EPoly(self.nsyms, quot)
+        return self._like(quot)
+
+    # -- serialization --------------------------------------------------------
 
     def to_json(self) -> list:
+        key = self._json_key
         return [
-            {"exps": list(m), "coeff": c.to_json()}
-            for m, c in sorted(self.terms.items())
+            {key: list(m), "coeff": self.terms[m].to_json()} for m in sorted(self.terms)
         ]
 
-    @staticmethod
-    def from_json(nsyms: int, data: Iterable[Mapping]) -> "EPoly":
-        return EPoly(
-            nsyms,
-            {tuple(t["exps"]): QLaurent.from_json(t["coeff"]) for t in data},
-        )
+    @classmethod
+    def from_json(cls, rank: int, data: Iterable[Mapping]) -> "EPoly":
+        key = cls._json_key
+        return cls(rank, {tuple(t[key]): QLaurent.from_json(t["coeff"]) for t in data})
 
     def __repr__(self) -> str:
-        return f"EPoly({self.nsyms}, {len(self.terms)} terms)"
+        return f"{type(self).__name__}(rank={self.rank}, {len(self.terms)} terms)"
 
     def format(self, names: Sequence[str] | None = None) -> str:
         if not self.terms:
             return "0"
         if names is None:
-            names = [f"E{i}" for i in range(1, self.nsyms + 1)]
+            names = [f"E{i}" for i in range(1, self.rank + 1)]
         parts = []
         for m, c in sorted(self.terms.items(), reverse=True):
             syms = "*".join(

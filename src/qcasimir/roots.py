@@ -235,6 +235,15 @@ class RootSystem:
             return False
         return all(d % 2 != 0 for d in lam.dbl)
 
+    def check_highest_weight(self, lam: Weight) -> None:
+        """Raise unless lam is dominant and on the weight lattice, that is,
+        the highest weight of a simple module."""
+        name = f"{self.lie_type.value}{self.rank}"
+        if not self.is_dominant(lam):
+            raise NotDominant(f"{lam} is not dominant for {name}")
+        if not self.is_on_weight_lattice(lam):
+            raise NotOnWeightLattice(f"{lam} is not on the weight lattice of {name}")
+
     def hook_r_range(self) -> range:
         n = self.rank
         if self.lie_type is LieType.B:

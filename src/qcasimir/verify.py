@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import factorial
 
 from .casimir import (
     DegenerateEvaluation,
@@ -231,7 +232,7 @@ def hc_cases(systems) -> list[dict]:
     for rs in systems:
         # full-group invariance is equivalent to invariance under the simple
         # reflections; enumerate the whole group only while it is small
-        full = 2 ** rs.rank * _factorial(rs.rank) <= 400
+        full = 2 ** rs.rank * factorial(rs.rank) <= 400
         weights = _hc_weights(rs)
         one = GAElem.one(rs.rank)
         for ell in range(1, rs.rank + 1):
@@ -272,13 +273,6 @@ def hc_cases(systems) -> list[dict]:
                     and comb_body.has_integral_support(),
                 )
             )
-    return out
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
     return out
 
 

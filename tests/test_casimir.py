@@ -32,7 +32,7 @@ from qcasimir.chars import (
     natural_character,
 )
 from qcasimir.exact import NotDivisible, QLaurent
-from qcasimir.roots import LieType, Weight, build_root_system, eps
+from qcasimir.roots import LieType, NotOnWeightLattice, Weight, build_root_system, eps
 from qcasimir.verify import sample_dominant_weight
 
 B2 = build_root_system(LieType.B, 2)
@@ -320,6 +320,25 @@ class TestEigenvalues:
             eigenvalue_direct(B2, Weight((4, 0)), 1, 2)  # last coord zero
         with pytest.raises(DegenerateEvaluation):
             eigenvalue_direct(D4, Weight((4, 2, 2, 0)), 1, 2)
+
+    # (1/2, 1/2, 1/2) is dominant for C3 but no weight of C3, and (1, 1/2, 1/2)
+    # mixes the grids of B3; neither is the highest weight of a module
+    OFF_LATTICE = ((C3, Weight((1, 1, 1))), (B3, Weight((2, 1, 1))))
+
+    def test_direct_rejects_weight_off_the_lattice(self):
+        for rs, lam in self.OFF_LATTICE:
+            with pytest.raises(NotOnWeightLattice):
+                eigenvalue_direct(rs, lam, 1, 2)
+
+    def test_via_hc_rejects_weight_off_the_lattice(self):
+        for rs, lam in self.OFF_LATTICE:
+            with pytest.raises(NotOnWeightLattice):
+                eigenvalue_via_hc(rs, lam, 1, 2)
+
+    def test_hc_at_weight_rejects_weight_off_the_lattice(self):
+        for rs, lam in self.OFF_LATTICE:
+            with pytest.raises(NotOnWeightLattice):
+                hc_at_weight(rs, 1, lam)
 
     def test_order_one_rearrangement(self):
         # (q - q^{-1}) * image value at order one, plus the quantum

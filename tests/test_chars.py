@@ -23,7 +23,7 @@ from qcasimir.chars import (
     weyl_denominator,
 )
 from qcasimir.casimir import ch_g_via_hooks
-from qcasimir.exact import NotDivisible, QLaurent, ZeroBase
+from qcasimir.exact import EPoly, NotDivisible, QLaurent, ZeroBase
 from qcasimir.roots import (
     LieType,
     NotDominant,
@@ -320,18 +320,28 @@ class TestChainKernel:
             assert divide_by_denominator(delta * body, rs) == body
 
 
-class TestLaneWidth:
-    """Packed keys size their lanes from the operands."""
+# the GAElem cases keep their bare ids
+_LANE_CASES = [
+    pytest.param(cls, a, id=str(a) if cls is GAElem else f"EPoly{a:+d}")
+    for cls in (GAElem, EPoly)
+    for a in (40000, -40000)
+]
 
-    @pytest.mark.parametrize("a", [40000, -40000])
-    def test_product_beyond_16_bit_coordinates(self, a):
-        x = GAElem.exponential(Weight((a, 0))) * GAElem.exponential(Weight((0, 2)))
+
+class TestLaneWidth:
+    """Packed keys size their lanes from the operands, in both readings of
+    the one Laurent ring."""
+
+    @pytest.mark.parametrize("cls, a", _LANE_CASES)
+    def test_product_beyond_16_bit_coordinates(self, cls, a):
+        x = cls(2, {(a, 0): ONE}) * cls(2, {(0, 2): ONE})
+        assert type(x) is cls
         assert x.terms == {(a, 2): ONE}
 
-    @pytest.mark.parametrize("a", [40000, -40000])
-    def test_general_division_beyond_16_bit_coordinates(self, a):
-        x = GAElem(2, {(a, 2): QLaurent({1: 2}), (0, -a): ONE})
-        f = GAElem(2, {(a, 0): ONE, (0, 2): ONE, (-a, -a): QLaurent({0: 3})})
+    @pytest.mark.parametrize("cls, a", _LANE_CASES)
+    def test_general_division_beyond_16_bit_coordinates(self, cls, a):
+        x = cls(2, {(a, 2): QLaurent({1: 2}), (0, -a): ONE})
+        f = cls(2, {(a, 0): ONE, (0, 2): ONE, (-a, -a): QLaurent({0: 3})})
         assert (x * f).div_exact(f) == x
 
 

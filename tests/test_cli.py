@@ -74,6 +74,16 @@ def test_char_off_the_weight_lattice_is_usage_error(capsys):
     assert "not on the weight lattice of C3" in err
 
 
+def test_eig_off_the_weight_lattice_is_usage_error(capsys):
+    code, out, err = run(
+        capsys, "eig", "--type", "C", "--rank", "3", "--lambda", "1/2,1/2,1/2",
+        "--ell", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "not on the weight lattice" in err
+
+
 def test_gnk_routes_agree(capsys):
     code, out_a, _ = run(
         capsys, "gnk", "--type", "C", "--rank", "3", "--k", "2"

@@ -132,6 +132,14 @@ class TestEPoly:
         with pytest.raises(NotDivisible):
             (prod + EPoly.one(2)).div_exact(a)
 
+    def test_div_exact_with_negative_exponents(self):
+        # a Laurent quotient: the box [min-min, max-max] reaches below zero
+        x = epoly_of(2, [((-1, 2), {1: 1}), ((0, -3), {0: 2}), ((-2, -1), {-1: -1})])
+        f = epoly_of(2, [((1, 0), {0: 1}), ((-2, 1), {1: 3}), ((0, 0), {0: -1})])
+        assert (x * f).div_exact(f) == x
+        with pytest.raises(NotDivisible):
+            (x * f + EPoly.symbol(2, 1)).div_exact(f)
+
     def test_json_round_trip(self):
         p = epoly_of(2, [((1, 0), {1: 1}), ((0, 2), {-1: Fraction(1, 2)})])
         assert EPoly.from_json(2, p.to_json()) == p
@@ -175,3 +183,52 @@ class TestDeterminants:
         ).map(QLaurent)
         m = [[data.draw(small) for _ in range(size)] for _ in range(size)]
         assert det_cofactor(m) == det_bareiss(m)
+
+
+class TestOneRing:
+    """EPoly and GAElem (E_i read as e^(eps_i/2)) share one implementation;
+    every operation keeps the operand's class."""
+
+    @staticmethod
+    def _pair(cls):
+        a = cls(2, {(1, -1): ql({1: 1}), (0, 2): ONE})
+        b = cls(2, {(1, 0): ONE, (0, 0): ql({-1: 2})})
+        return a, b
+
+    def _results(self, cls):
+        a, b = self._pair(cls)
+        return [
+            a + b, a - b, -a, a * b, a**3, a.scale(ql({1: 1})),
+            (a * b).div_exact(b), a.partial(1), cls.zero(2), cls.one(2),
+            cls.constant(2, ONE), cls.symbol(2, 1),
+            cls.from_json(2, a.to_json()),
+        ]
+
+    def test_epoly_ops_return_epoly(self):
+        assert all(type(x) is EPoly for x in self._results(EPoly))
+
+    def test_gaelem_ops_return_gaelem(self):
+        from qcasimir.chars import GAElem
+
+        assert all(type(x) is GAElem for x in self._results(GAElem))
+        # the chain-sum kernel keeps the class too
+        a, _ = self._pair(GAElem)
+        binomial = GAElem(2, {(2, 0): ONE, (0, 0): -ONE})
+        assert type((a * binomial).div_exact(binomial)) is GAElem
+
+    def test_epoly_never_equals_gaelem(self):
+        from qcasimir.chars import GAElem
+
+        for terms in ({}, {(0, 0): ONE}, {(1, -1): ql({1: 1}), (0, 2): ONE}):
+            e, g = EPoly(2, terms), GAElem(2, terms)
+            assert e.terms == g.terms
+            assert e != g and g != e
+
+    def test_mixed_classes_do_not_combine(self):
+        from qcasimir.chars import GAElem
+
+        e, g = EPoly.one(2), GAElem.one(2)
+        with pytest.raises(TypeError):
+            e + g
+        with pytest.raises(TypeError):
+            g * e
