@@ -12,7 +12,7 @@ Two independent constructions of the block characters are provided:
 * ``ch_g_via_antisym`` divides an antisymmetrized auxiliary product
   ``H_{n,k}`` by the Weyl denominator, and
 * ``ch_g_via_hooks`` assembles signed q-powers of irreducible characters of
-  hook shape.
+  hook shape, as listed by the table :func:`hook_terms`.
 
 Their exact agreement (for every k) is the central identity of the package
 and is what the verification suites establish.  A third, purely numeric
@@ -126,16 +126,52 @@ def ch_g_via_antisym(rs: RootSystem, k: int) -> CasimirImage:
     return CasimirImage(rs.lie_type, rs.rank, k, body, "prop4_3")
 
 
-def _hook_char(rs: RootSystem, k: int, r: int, bar: bool = False) -> GAElem:
-    return weyl_character(rs, hook_weight(rs, k, r, bar=bar).weight)
+HookTerm = tuple[int, int, tuple[Weight, ...]]
+
+
+def hook_terms(rs: RootSystem, k: int) -> tuple[HookTerm, ...]:
+    """The signed hook expansion of the k-th block (k >= 1), as entries
+    (sign, quarter-grid q exponent, highest weights); the block is the sum
+    of sign * q^(exponent/4) * (sum of the characters of the weights).  An
+    empty weight tuple stands for the constant q^{-k}.
+
+    This table is the one statement of the expansion; ``ch_g_via_hooks``,
+    ``constituents`` and ``ebasis.g_in_e_basis`` only read it:
+
+    * column r carries q^{c_n - 1 - 2r} and the sign (-1)^r, times tau(r) in
+      type C (which drops r = n);
+    * the columns run over r = 0..min(k-1, top), top the largest admissible
+      index, and ``hook_weight`` folds them by rbar;
+    * in type D, column n-1 also carries the barred hook;
+    * the constant q^{-k} enters in type B with sign + unless k is odd and
+      k <= top, and in types C (sign -) and D (sign +) when k is even and
+      k <= top.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    lie, n = rs.lie_type, rs.rank
+    top = rs.hook_r_range()[-1]
+    terms: list[HookTerm] = []
+    for r in range(min(k - 1, top) + 1):
+        sign = (-1) ** r * (tau(rs, r) if lie is LieType.C else 1)
+        if not sign:
+            continue
+        weights = (hook_weight(rs, k, r).weight,)
+        if lie is LieType.D and r == n - 1:
+            weights += (hook_weight(rs, k, r, bar=True).weight,)
+        terms.append((sign, 4 * (rs.c_n - 1 - 2 * r), weights))
+    if lie is LieType.B:
+        if k % 2 == 0 or k > top:
+            terms.append((1, -4 * k, ()))
+    elif k % 2 == 0 and k <= top:
+        terms.append((-1 if lie is LieType.C else 1, -4 * k, ()))
+    return tuple(terms)
 
 
 def ch_g_via_hooks(rs: RootSystem, k: int) -> CasimirImage:
-    """Block character via the signed hook-character expansion.
-
-    The branch is selected by k's parity and range; the expansions terminate
-    at the type's largest admissible column index.
-    """
+    """Block character via the signed hook-character expansion: the sum of
+    the Weyl characters over the entries of :func:`hook_terms`.  At k = 0 the
+    block is the constant :func:`closed_form_g0`."""
     key = (rs.lie_type, rs.rank, k, "hooks")
     body = _chg_cache.get(key)
     if body is not None:
@@ -143,61 +179,16 @@ def ch_g_via_hooks(rs: RootSystem, k: int) -> CasimirImage:
     if k < 0:
         raise ValueError("k must be >= 0")
     n = rs.rank
-    lie = rs.lie_type
-    if lie is LieType.B:
-        top = 2 * n - 1
-        qpow = lambda r: QLaurent.monomial(4 * (2 * n - 1 - 2 * r))
-        if k == 0:
-            const = QLaurent.one()
-            for r in range(top + 1):
-                const = const + qpow(r)
-            body = GAElem.constant(n, const)
-        else:
-            body = GAElem.zero(n)
-            for r in range(0, min(k - 1, top) + 1):
-                term = _hook_char(rs, k, r).scale(qpow(r))
-                body = body - term if r % 2 else body + term
-            if not (1 <= k <= top and k % 2 == 1):
-                body = body + GAElem.constant(n, QLaurent.monomial(-4 * k))
-    elif lie is LieType.C:
-        top = 2 * n
-        qpow = lambda r: QLaurent.monomial(4 * (2 * n - 2 * r))
-        if k == 0:
-            const = QLaurent.zero()
-            for r in range(0, n):
-                const = const + qpow(r)
-            for r in range(n + 1, 2 * n + 1):
-                const = const + qpow(r)
-            body = GAElem.constant(n, const)
-        else:
-            body = GAElem.zero(n)
-            for r in range(0, min(k - 1, top) + 1):
-                t = tau(rs, r)
-                if t == 0:
-                    continue
-                term = _hook_char(rs, k, r).scale(qpow(r))
-                sign = (-1) ** r * t
-                body = body + term if sign > 0 else body - term
-            if 1 <= k <= top and k % 2 == 0:
-                body = body - GAElem.constant(n, QLaurent.monomial(-4 * k))
+    if k == 0:
+        body = closed_form_g0(rs)
     else:
-        top = 2 * n - 2
-        qpow = lambda r: QLaurent.monomial(4 * (2 * n - 2 - 2 * r))
-        if k == 0:
-            const = QLaurent.one()
-            for r in range(top + 1):
-                const = const + qpow(r)
-            body = GAElem.constant(n, const)
-        else:
-            body = GAElem.zero(n)
-            for r in range(0, min(k - 1, top) + 1):
-                term = _hook_char(rs, k, r)
-                if r == n - 1:
-                    term = term + _hook_char(rs, k, r, bar=True)
-                term = term.scale(qpow(r))
-                body = body - term if r % 2 else body + term
-            if 1 <= k <= top and k % 2 == 0:
-                body = body + GAElem.constant(n, QLaurent.monomial(-4 * k))
+        body = GAElem.zero(n)
+        for sign, qexp, weights in hook_terms(rs, k):
+            term = GAElem.zero(n) if weights else GAElem.one(n)
+            for w in weights:
+                term = term + weyl_character(rs, w)
+            term = term.scale(QLaurent.monomial(qexp))
+            body = body + term if sign > 0 else body - term
     _chg_cache[key] = body
     return CasimirImage(rs.lie_type, rs.rank, k, body, "hook_expansion")
 
@@ -528,32 +519,22 @@ def eigenvalue_via_hc(
 
 def constituents(rs: RootSystem, k: int) -> list[tuple[int, tuple, int]]:
     """Constituent list of the k-th block, normalized for cross-rank
-    comparison.
+    comparison: a view of the entries of :func:`hook_terms`.
 
     Each entry is (q-power, weight, multiplicity).  Hook entries report the
     q-power relative to q^{2n} (so it is rank-free) and the weight as its
-    partition tuple; the constant term, when present, is reported with its
-    absolute power -k and the empty tuple.
+    partition tuple (the barred type D hook keeps its negative last part);
+    the constant term, when present, is reported with its absolute power -k
+    and the empty tuple.
     """
     n = rs.rank
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}")
     entries: list[tuple[int, tuple, int]] = []
-    for r in range(k):
-        if rs.lie_type is LieType.B:
-            offset = -1 - 2 * r
-        elif rs.lie_type is LieType.C:
-            offset = -2 * r
-        else:
-            offset = -2 - 2 * r
-        parts = (k - r,) + (1,) * r
-        entries.append((offset, parts, (-1) ** r))
-        if rs.lie_type is LieType.D and r == n - 1:
-            bar = hook_weight(rs, k, r, bar=True).weight
-            entries.append(
-                (offset, tuple(int(c) for c in bar.coords), (-1) ** r)
-            )
-    if k % 2 == 0:
-        sign = -1 if rs.lie_type is LieType.C else 1
-        entries.append((-k, (), sign))
+    for sign, qexp, weights in hook_terms(rs, k):
+        if not weights:
+            entries.append((qexp // 4, (), sign))
+        for w in weights:
+            parts = tuple(int(c) for c in w.coords if c)
+            entries.append((qexp // 4 - 2 * n, parts, sign))
     return sorted(entries)

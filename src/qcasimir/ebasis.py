@@ -23,9 +23,8 @@ E_k = num(G_1..G_k)/den, and all verifications multiply back by den.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .casimir import ch_g_via_antisym
+from .casimir import ch_g_via_antisym, hook_terms
 from .chars import GAElem, ext_power_char, weyl_character
 from .exact import EPoly, QL_ONE, QLaurent, det_exact
 from .roots import (
@@ -204,52 +203,31 @@ def hook_matrix_printed(rs: RootSystem, k: int, r: int, symbols=None) -> list[li
     return rows
 
 
-@lru_cache(maxsize=None)
-def _hook_e_expr(lie: LieType, rank: int, k: int, r: int) -> EPoly:
-    from .roots import build_root_system
-
-    rs = build_root_system(lie, rank)
-    parts = (k - r,) + (1,) * r
-    return jt_character(rs, parts, target="e").poly
-
-
 def g_in_e_basis(rs: RootSystem, k: int) -> EBasisExpr:
     """The k-th block character written in the folded symbols E_1..E_n.
 
-    Valid for 1 <= k <= n.  Each hook character contributes its
-    determinantal expansion; in type D at k = n the barred and unbarred
-    hooks of column n-1 merge into the single symbol E_n (their characters
-    sum to the n-th exterior power), mirroring the way the change of basis
-    is proved.
+    Valid for 1 <= k <= n.  Each entry of ``casimir.hook_terms`` contributes
+    the determinantal expansion of its hook character; in type D at k = n the
+    barred and unbarred hooks of column n-1 merge into the single symbol E_n
+    (their characters sum to the n-th exterior power), mirroring the way the
+    change of basis is proved.
     """
     n = rs.rank
     if not 1 <= k <= n:
         raise IndexOutOfRange(f"k must lie in 1..{n}")
-    if rs.lie_type is LieType.B:
-        power = lambda r: 4 * (2 * n - 1 - 2 * r)
-        const_sign = 1
-    elif rs.lie_type is LieType.C:
-        power = lambda r: 4 * (2 * n - 2 * r)
-        const_sign = -1
-    else:
-        power = lambda r: 4 * (2 * n - 2 - 2 * r)
-        const_sign = 1
     total = EPoly.zero(n)
     foldings: list[tuple[int, int]] = []
-    for r in range(k):
-        coeff = QLaurent.monomial(power(r), (-1) ** r)
-        if rs.lie_type is LieType.D and r == n - 1:
+    for sign, qexp, weights in hook_terms(rs, k):
+        if not weights:
+            term = EPoly.one(n)
+        elif len(weights) == 2:
             # chi(hook) + chi(barred hook) is exactly the n-th exterior power
             term = EPoly.symbol(n, n)
         else:
-            expr = jt_character(rs, (k - r,) + (1,) * r, target="e")
+            expr = jt_character(rs, weights[0].coords, target="e")
             foldings.extend(expr.foldings)
             term = expr.poly
-        total = total + term.scale(coeff)
-    if k % 2 == 0:
-        total = total + EPoly.constant(
-            n, QLaurent.monomial(-4 * k, const_sign)
-        )
+        total = total + term.scale(QLaurent.monomial(qexp, sign))
     return EBasisExpr(total, tuple(foldings))
 
 

@@ -237,16 +237,6 @@ class QLaurent:
 
     # -- inspection / serialization --------------------------------------
 
-    def min_exp(self) -> int:
-        return min(self.terms)
-
-    def max_exp(self) -> int:
-        return max(self.terms)
-
-    def is_unit_monomial(self) -> bool:
-        """True for c*q^(e/4) with c nonzero (invertible elements)."""
-        return len(self.terms) == 1
-
     def to_json(self) -> list:
         return [
             {"e": e, "c": str(Fraction(c))} for e, c in sorted(self.terms.items())

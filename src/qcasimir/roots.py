@@ -312,9 +312,6 @@ class HookWeight:
     weight: Weight
     bar_variant: bool = False
 
-    def is_dominant_shape(self) -> bool:
-        return self.k - self.r >= 1
-
 
 def mu_weight(rs: RootSystem, rbar: int) -> Weight:
     """eps_2 + ... + eps_{rbar+1} (zero when rbar == 0)."""
@@ -356,8 +353,7 @@ def tau(rs: RootSystem, r: int) -> int:
 
 def weyl_dimension(rs: RootSystem, lam: Weight) -> Fraction:
     """prod over positive roots of (lam+rho, alpha)/(rho, alpha)."""
-    if not rs.is_dominant(lam):
-        raise NotDominant(f"{lam} is not dominant")
+    rs.check_highest_weight(lam)
     num = Fraction(1)
     lam_rho = lam + rs.rho
     for alpha in rs.positive_roots:

@@ -23,6 +23,7 @@ from qcasimir.casimir import (
     hc_divisibility_failures,
     hc_image,
     hc_value,
+    hook_terms,
 )
 from qcasimir.chars import (
     weyl_character,
@@ -116,7 +117,9 @@ class TestRouteEquality:
         "rs", SMALL, ids=lambda r: f"{r.lie_type.value}{r.rank}"
     )
     def test_routes_agree(self, rs):
-        for k in range(rs.rank + 3):
+        # up to top + 2: past the columns folded by rbar and, in type B, onto
+        # the constant that returns at odd k > top
+        for k in range(rs.hook_r_range()[-1] + 3):
             assert (
                 ch_g_via_antisym(rs, k).body == ch_g_via_hooks(rs, k).body
             ), k
@@ -392,3 +395,38 @@ class TestConstituents:
     def test_range_guard(self):
         with pytest.raises(ValueError):
             constituents(B2, 3)
+
+    @pytest.mark.parametrize(
+        "rs", SMALL, ids=lambda r: f"{r.lie_type.value}{r.rank}"
+    )
+    def test_expand_back_to_antisymmetrizer_block(self, rs):
+        # hook entry: sign q^{p+2n} chi(partition); constant: sign q^p
+        n = rs.rank
+        for k in range(1, n + 1):
+            total = GAElem.zero(n)
+            for p, parts, sign in constituents(rs, k):
+                if not parts:
+                    total = total + GAElem.constant(n, Q(p, sign))
+                    continue
+                lam = Weight.from_coords(parts + (0,) * (n - len(parts)))
+                total = total + weyl_character(rs, lam).scale(Q(p + 2 * n, sign))
+            assert total == ch_g_via_antisym(rs, k).body, k
+
+
+class TestHookTerms:
+    def test_type_c_drops_the_middle_column(self):
+        # C3, k = 8 > top = 6: columns 0..6 without r = 3, and no constant
+        terms = hook_terms(C3, 8)
+        assert [qexp for _, qexp, _ in terms] == [
+            4 * (6 - 2 * r) for r in (0, 1, 2, 4, 5, 6)
+        ]
+        assert [sign for sign, _, _ in terms] == [1, -1, 1, -1, 1, -1]
+
+    def test_type_d_pairs_the_barred_hook(self):
+        weights = [w for _, _, w in hook_terms(D4, 4)]
+        assert weights[3] == (Weight((2, 2, 2, 2)), Weight((2, 2, 2, -2)))
+        assert weights[-1] == ()
+
+    def test_needs_positive_k(self):
+        with pytest.raises(ValueError):
+            hook_terms(B2, 0)

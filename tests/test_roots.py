@@ -9,6 +9,7 @@ from qcasimir.roots import (
     IndexOutOfRange,
     LieType,
     NotDominant,
+    NotOnWeightLattice,
     RankTooSmall,
     Weight,
     WrongType,
@@ -198,6 +199,11 @@ def test_weyl_dimension_known_values():
     assert weyl_dimension(D4, Weight((2, 0, 0, 0))) == 8
     with pytest.raises(NotDominant):
         weyl_dimension(B2, Weight((0, 2)))
+
+
+def test_weyl_dimension_rejects_weight_off_the_lattice():
+    with pytest.raises(NotOnWeightLattice):
+        weyl_dimension(C3, Weight((1, 1, 1)))  # (1/2, 1/2, 1/2) on C3
 
 
 def test_partition_embedding():
