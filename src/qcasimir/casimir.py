@@ -9,8 +9,11 @@ e^{eps_a} realises each block inside the character ring.
 
 Two independent constructions of the block characters are provided:
 
-* ``ch_g_via_antisym`` divides an antisymmetrized auxiliary product
-  ``H_{n,k}`` by the Weyl denominator, and
+* ``ch_g_via_antisym`` reads the antisymmetrized auxiliary product
+  ``H_{n,k}`` divided by the Weyl denominator in the basis of irreducible
+  characters: straightening ``H_{n,k}`` into the dominant chamber
+  (:func:`chamber_form`) gives the coefficient of each character, with no
+  group enumeration and no division of A(H_{n,k}), and
 * ``ch_g_via_hooks`` assembles signed q-powers of irreducible characters of
   hook shape, as listed by the table :func:`hook_terms`.
 
@@ -29,10 +32,9 @@ from typing import Sequence
 
 from .chars import (
     GAElem,
-    antisymmetrize,
-    divide_by_denominator,
     ga_eval,
     natural_character,
+    straighten,
     weyl_character,
 )
 from .exact import Coeff, NotDivisible, QLaurent
@@ -97,31 +99,47 @@ def h_element(rs: RootSystem, k: int) -> GAElem:
     return res
 
 
+def chamber_form(rs: RootSystem, k: int) -> dict[tuple, QLaurent]:
+    """The antisymmetrizer form of the k-th block in the dominant chamber:
+    {nu: c_nu} over strictly dominant nu (doubled coordinates) with
+
+        A(e^rho G_{n,k}) = q^{c_n - 1} A(H_{n,k}) (+ q^{-k} A(e^rho) in type B)
+                         = sum over nu of c_nu A(e^nu),
+
+    that is q^{c_n - 1} times the straightened H_{n,k}, plus q^{-k} at rho in
+    type B.  Since A(e^nu) / Delta is the character of highest weight
+    nu - rho, G_{n,k} = sum over nu of c_nu chi_{nu - rho}: the block in the
+    basis of irreducible characters, with no group enumeration and no
+    division.
+    """
+    x = h_element(rs, k).scale(QLaurent.monomial(4 * (rs.c_n - 1)))
+    if rs.lie_type is LieType.B:
+        x = x + GAElem.exponential(rs.rho, QLaurent.monomial(-4 * k))
+    return straighten(x, rs)
+
+
 _chg_cache: dict[tuple, GAElem] = {}
 
 
 def ch_g_via_antisym(rs: RootSystem, k: int) -> CasimirImage:
-    """Block character via the antisymmetrizer route: divide
-    q^{c_n - 1} A(H_{n,k}) (plus q^{-k} Delta in type B) by Delta.
+    """Block character via the antisymmetrizer route: the sum of
+    c_nu chi_{nu - rho} over the :func:`chamber_form` of H_{n,k}.
 
-    A(H_{n,k}) is divided once, with its q-dependent coefficients: every
-    binomial stage of ``divide_by_denominator`` sums them along chains and
-    never divides a coefficient.  A NotDivisible escaping from here would be
-    an implementation bug and is deliberately not caught.
+    This is q^{c_n - 1} A(H_{n,k}) / Delta (plus q^{-k} in type B) without
+    forming A(H_{n,k}) or dividing it: straightening H_{n,k} gives the
+    coefficients, and the characters come from ``weyl_character``.  The
+    route shares nothing else with the hook route.
     """
     key = (rs.lie_type, rs.rank, k, "antisym")
     body = _chg_cache.get(key)
     if body is None:
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        alt = antisymmetrize(h_element(rs, k), rs)
-        body = divide_by_denominator(alt, rs).scale(
-            QLaurent.monomial(4 * (rs.c_n - 1))
-        )
-        if rs.lie_type is LieType.B:
-            body = body + GAElem.constant(
-                rs.rank, QLaurent.monomial(-4 * k)
-            )
+        terms: dict[tuple, QLaurent] = {}
+        for nu, c in chamber_form(rs, k).items():
+            chi = weyl_character(rs, Weight(nu) - rs.rho)
+            for w, x in chi.terms.items():
+                prev = terms.get(w)
+                terms[w] = x * c if prev is None else prev + x * c
+        body = GAElem(rs.rank, terms)
         _chg_cache[key] = body
     return CasimirImage(rs.lie_type, rs.rank, k, body, "prop4_3")
 

@@ -6,6 +6,16 @@ The Weyl groups of types B and C coincide: all signed permutations of
 Group elements act on weights coordinate-wise, and the antisymmetrizer
 ``sum over w of sgn(w) * w`` produces alternants.
 
+An alternating element is determined by its coefficients on strictly
+dominant weights.  :func:`straighten` computes them with no group
+enumeration: each term e^mu moves to the dominant weight of its orbit with
+the sign of the Weyl element that moves it there (sort the |mu_i|; the sign
+is the parity of the sort, times (-1)^(negative mu_i) in types B and C), and
+drops when mu lies on a wall.  The group acts freely on the orbit of a
+strictly dominant weight, so expanding the straightened coefficients back
+over the group (:func:`antisymmetrize`, :func:`alternant`) stores each image
+once and adds no coefficients.
+
 :class:`GAElem` is a finite formal sum of exponentials e^mu with q-Laurent
 coefficients, keyed by the doubled coordinates of mu.  It is the Laurent
 ring :class:`~qcasimir.exact.EPoly` with E_i read as e^(eps_i/2), and takes
@@ -28,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from operator import itemgetter, sub
+from operator import add, itemgetter, sub
 from typing import Sequence
 
 from .exact import (
@@ -153,15 +163,6 @@ def enumerate_weyl(rs: RootSystem) -> list[SignedPerm]:
     return elems
 
 
-@lru_cache(maxsize=None)
-def _weyl_table(lie: LieType, n: int) -> tuple:
-    """Precomputed [(perm, signs, sgn)] for the hot loops."""
-    from .roots import build_root_system
-
-    rs = build_root_system(lie, n)
-    return tuple((w.perm, w.signs, w.sgn()) for w in enumerate_weyl(rs))
-
-
 def simple_reflections(rs: RootSystem) -> list[SignedPerm]:
     n = rs.rank
     refls = []
@@ -234,6 +235,11 @@ class GAElem(EPoly):
             raise ValueError("zero element has no leading term")
         w = max(self.terms)
         return w, self.terms[w]
+
+    def shift(self, w: Weight) -> "GAElem":
+        """e^w * self, by moving every key."""
+        d = w.dbl
+        return self._like({tuple(map(add, k, d)): c for k, c in self.terms.items()})
 
     # -- Weyl action -------------------------------------------------------
 
@@ -354,40 +360,89 @@ class GAElem(EPoly):
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def antisymmetrize(x: GAElem, rs: RootSystem) -> GAElem:
-    """sum over the Weyl group of sgn(w) * w(x)."""
-    table = _weyl_table(rs.lie_type, rs.rank)
+def straighten(x: GAElem, rs: RootSystem) -> dict[tuple, QLaurent]:
+    """The alternating element A(x) = sum over w of sgn(w) * w(x), as its
+    coefficients on strictly dominant weights (doubled coordinates).
+
+    A(e^mu) is zero when mu lies on a wall and sgn(w) * A(e^(w mu)) else, so
+    each term e^mu moves to the dominant weight of its orbit, carrying the
+    sign of the Weyl element that moves it there:
+
+    * types B and C: sort the |mu_i| in decreasing order; the sign is the
+      parity of the sort times (-1)^(number of negative mu_i), and the term
+      drops on a tie or a zero (walls of eps_i +- eps_j and of eps_i);
+    * type D: the same sort with the parity alone as the sign (the group
+      flips an even number of signs); an odd number of negative mu_i leaves
+      the last coordinate negative unless it is 0, and the term drops on a
+      tie (two zeros included).
+    """
+    n = rs.rank
+    type_d = rs.lie_type is LieType.D
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     res: dict[tuple, QLaurent] = {}
-    items = tuple(x.terms.items())
-    for perm, signs, sign in table:
-        for key, c in items:
-            nk = _act_dbl(perm, signs, key)
-            add = c if sign > 0 else -c
-            prev = res.get(nk)
-            nc = add if prev is None else prev + add
-            if nc:
-                res[nk] = nc
-            elif nk in res:
-                del res[nk]
-    return GAElem(x.rank, res)
+    for key, c in x.terms.items():
+        mags = tuple(map(abs, key))
+        dom = sorted(mags, reverse=True)
+        if len(set(dom)) < n or (dom[-1] == 0 and not type_d):
+            continue
+        flips = sum(1 for d in key if d < 0)
+        odd = sum(1 for i, j in pairs if mags[i] < mags[j]) + (0 if type_d else flips)
+        if type_d and flips % 2:
+            dom[-1] = -dom[-1]
+        dom = tuple(dom)
+        signed = -c if odd % 2 else c
+        prev = res.get(dom)
+        nc = signed if prev is None else prev + signed
+        if nc:
+            res[dom] = nc
+        elif dom in res:
+            del res[dom]
+    return res
+
+
+@lru_cache(maxsize=None)
+def _orbit_getters(lie: LieType, n: int) -> tuple:
+    """[(gather, sgn(w))] over the group: gather(key + -key) is w(key), read
+    off one tuple by C-level indexing."""
+    from .roots import build_root_system
+
+    out = []
+    for w in enumerate_weyl(build_root_system(lie, n)):
+        src = [0] * n
+        for i, (p, s) in enumerate(zip(w.perm, w.signs)):
+            src[p - 1] = i if s > 0 else i + n
+        out.append((itemgetter(*src), w.sgn()))
+    return tuple(out)
+
+
+def _orbit_expand(chamber: dict[tuple, QLaurent], rs: RootSystem) -> dict:
+    """sum over strictly dominant nu of c_nu * A(e^nu), from {nu: c_nu}.
+
+    The group acts freely on the orbit of a strictly dominant weight and
+    distinct ones have disjoint orbits, so every image is stored once, with
+    no coefficient added.
+    """
+    getters = _orbit_getters(rs.lie_type, rs.rank)
+    res: dict[tuple, QLaurent] = {}
+    for key, c in chamber.items():
+        neg = -c
+        ext = key + tuple(-d for d in key)
+        for gather, sign in getters:
+            res[gather(ext)] = c if sign > 0 else neg
+    return res
+
+
+def antisymmetrize(x: GAElem, rs: RootSystem) -> GAElem:
+    """sum over the Weyl group of sgn(w) * w(x), as the signed orbit
+    expansion of :func:`straighten`: |W| stores per surviving dominant
+    weight instead of |W| additions per term of x."""
+    return x._like(_orbit_expand(straighten(x, rs), rs))
 
 
 def alternant(rs: RootSystem, lam: Weight) -> GAElem:
     """Antisymmetrized exponential of a single weight (orbit sum with signs)."""
-    table = _weyl_table(rs.lie_type, rs.rank)
-    res: dict[tuple, QLaurent] = {}
-    key = lam.dbl
-    for perm, signs, sign in table:
-        nk = _act_dbl(perm, signs, key)
-        prev = res.get(nk, 0)
-        nc = prev + sign
-        if nc:
-            res[nk] = nc
-        elif nk in res:
-            del res[nk]
-    return GAElem(
-        len(key), {w: QLaurent.rational(c) for w, c in res.items() if c}
-    )
+    x = GAElem.exponential(lam)
+    return x._like(_orbit_expand(straighten(x, rs), rs))
 
 
 @lru_cache(maxsize=None)
@@ -438,8 +493,7 @@ def divide_by_denominator(x: GAElem, rs: RootSystem) -> GAElem:
     for alpha in rs.positive_roots:
         neg = tuple(-d for d in alpha.dbl)
         x = x.div_exact(GAElem(rs.rank, {zero: QL_ONE, neg: -QL_ONE}))
-    shift = rs.rho.dbl
-    return x._like({tuple(map(sub, k, shift)): c for k, c in x.terms.items()})
+    return x.shift(-rs.rho)
 
 
 _char_cache: dict[tuple, GAElem] = {}

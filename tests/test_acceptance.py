@@ -18,6 +18,8 @@ README.md carries the full analysis of both.
 """
 
 import sys
+from time import perf_counter
+from typing import Callable
 
 import pytest
 
@@ -41,10 +43,18 @@ SEED = 0
 SYSTEMS = in_scope_systems()
 
 
-def _report(number: int, title: str, cases: list[dict]):
+def _report(number: int, title: str, check: Callable[[], list[dict]]):
+    """Run one criterion and print its line with the wall time; the case
+    records themselves carry no timing, so reports stay deterministic."""
+    t0 = perf_counter()
+    cases = check()
+    seconds = perf_counter() - t0
     failed = [c for c in cases if c["status"] != "pass"]
     verdict = "PASS" if not failed else "FAIL"
-    line = f"criterion {number:2d} [{verdict}] {title} ({len(cases) - len(failed)}/{len(cases)} cases)"
+    line = (
+        f"criterion {number:2d} [{verdict}] {title} "
+        f"({len(cases) - len(failed)}/{len(cases)} cases, {seconds:.1f} s)"
+    )
     print(line, file=sys.stderr)
     if failed:
         details = "; ".join(
@@ -55,14 +65,19 @@ def _report(number: int, title: str, cases: list[dict]):
 
 
 def test_criterion_01_denominator_formula():
-    _report(1, "denominator product form = alternant form", denominator_cases(SYSTEMS))
+    _report(
+        1,
+        "denominator product form = alternant form",
+        lambda: denominator_cases(SYSTEMS),
+    )
 
 
 def test_criterion_02_block_identity():
     _report(
         2,
-        "Delta * block = q^-k Delta [B] + q^(c_n-1) * antisymmetrized auxiliary",
-        block_identity_cases(SYSTEMS),
+        "Delta * block = q^-k Delta [B] + q^(c_n-1) * antisymmetrized auxiliary "
+        "(dominant chamber, block W-invariant)",
+        lambda: block_identity_cases(SYSTEMS),
     )
 
 
@@ -70,19 +85,23 @@ def test_criterion_03_route_equality():
     _report(
         3,
         "antisymmetrizer route = hook route, k = 0..n+2",
-        route_cases(SYSTEMS),
+        lambda: route_cases(SYSTEMS),
     )
 
 
 def test_criterion_04_closed_forms():
-    _report(4, "k = 0, 1 blocks match displayed closed forms", closed_form_cases(SYSTEMS))
+    _report(
+        4,
+        "k = 0, 1 blocks match displayed closed forms",
+        lambda: closed_form_cases(SYSTEMS),
+    )
 
 
 def test_criterion_05_rational_oracle():
     _report(
         5,
         "rational forms = symbolic forms at 20 random points each",
-        oracle_cases(SYSTEMS, points=20, seed=SEED),
+        lambda: oracle_cases(SYSTEMS, points=20, seed=SEED),
     )
 
 
@@ -91,7 +110,7 @@ def test_criterion_06_hc_divisibility():
         6,
         "torus image divisible at dominant weights, classical limit "
         "+ invariance + integral support",
-        hc_cases(SYSTEMS),
+        lambda: hc_cases(SYSTEMS),
     )
 
 
@@ -99,7 +118,7 @@ def test_criterion_07_eigenvalue_consistency():
     _report(
         7,
         "explicit eigenvalue sum = torus image evaluation, 10 random weights",
-        eigen_cases(SYSTEMS, samples=10, seed=SEED),
+        lambda: eigen_cases(SYSTEMS, samples=10, seed=SEED),
     )
 
 
@@ -107,7 +126,7 @@ def test_criterion_08_determinantal_characters():
     _report(
         8,
         "determinant form = Weyl character (mirror sum for type D full length)",
-        jt_cases(SYSTEMS),
+        lambda: jt_cases(SYSTEMS),
     )
 
 
@@ -115,7 +134,7 @@ def test_criterion_09_triangular_solve():
     _report(
         9,
         "triangular change of basis solves with exact round trips",
-        basis_cases(SYSTEMS),
+        lambda: basis_cases(SYSTEMS),
     )
 
 
@@ -123,7 +142,7 @@ def test_criterion_10_generation_certificates():
     _report(
         10,
         "generation certificates with the printed extra generators",
-        certificate_cases(SYSTEMS),
+        lambda: certificate_cases(SYSTEMS),
     )
 
 
@@ -131,7 +150,7 @@ def test_criterion_11_stability():
     _report(
         11,
         "normalized constituents agree across ranks, k <= 4",
-        stability_cases(),
+        stability_cases,
     )
 
 
@@ -140,5 +159,5 @@ def test_criterion_12_property_bundle():
         12,
         "module invariants (alternating, wall vanishing, homomorphisms, "
         "determinant agreement, coset tiling) at fixed seed",
-        property_cases(seed=SEED),
+        lambda: property_cases(seed=SEED),
     )

@@ -10,6 +10,7 @@ from qcasimir.casimir import (
     c0_rational_eval,
     ch_g_via_antisym,
     ch_g_via_hooks,
+    chamber_form,
     closed_form_g0,
     closed_form_g1,
     constituents,
@@ -26,21 +27,34 @@ from qcasimir.casimir import (
     hook_terms,
 )
 from qcasimir.chars import (
-    weyl_character,
     GAElem,
+    divide_by_denominator,
+    enumerate_weyl,
     ga_eval,
     is_w_invariant,
     natural_character,
+    straighten,
+    weyl_character,
+    weyl_denominator,
 )
 from qcasimir.exact import NotDivisible, QLaurent
 from qcasimir.roots import LieType, NotOnWeightLattice, Weight, build_root_system, eps
-from qcasimir.verify import sample_dominant_weight
+from qcasimir.verify import (
+    block_identity_failure,
+    in_scope_systems,
+    sample_dominant_weight,
+)
 
 B2 = build_root_system(LieType.B, 2)
 B3 = build_root_system(LieType.B, 3)
 C3 = build_root_system(LieType.C, 3)
 D4 = build_root_system(LieType.D, 4)
 SMALL = (B2, B3, C3, D4)
+ALL = tuple(in_scope_systems())
+
+
+def _name(rs):
+    return f"{rs.lie_type.value}{rs.rank}"
 
 Q = QLaurent.q_power
 
@@ -110,6 +124,61 @@ class TestClosedForms:
         for rs in SMALL:
             assert ch_g_via_antisym(rs, 0).body == closed_form_g0(rs)
             assert ch_g_via_antisym(rs, 1).body == closed_form_g1(rs)
+
+
+def literal_antisymmetrize(x, rs):
+    """sum over the enumerated group of sgn(w) * w(x), term by term."""
+    total = GAElem.zero(x.rank)
+    for w in enumerate_weyl(rs):
+        total = total + x.act(w).scale(QLaurent({0: w.sgn()}))
+    return total
+
+
+def literal_rhs(rs, k):
+    """q^{c_n-1} A(H_{n,k}) (+ q^{-k} Delta in type B), A enumerated."""
+    rhs = literal_antisymmetrize(h_element(rs, k), rs).scale(
+        QLaurent.monomial(4 * (rs.c_n - 1))
+    )
+    if rs.lie_type is LieType.B:
+        rhs = rhs + weyl_denominator(rs).scale(QLaurent.monomial(-4 * k))
+    return rhs
+
+
+class TestChamberRoute:
+    """The antisymmetrizer route in the character basis, and criterion 2 in
+    the dominant chamber, against their literal forms over the enumerated
+    group."""
+
+    @pytest.mark.parametrize("rs", SMALL, ids=_name)
+    def test_equals_literal_division(self, rs):
+        for k in range(rs.hook_r_range()[-1] + 3):
+            assert ch_g_via_antisym(rs, k).body == divide_by_denominator(
+                literal_rhs(rs, k), rs
+            ), k
+
+    @pytest.mark.parametrize("rs", SMALL, ids=_name)
+    def test_chamber_check_equals_literal_identity(self, rs):
+        delta = weyl_denominator(rs)
+        chi = weyl_character(rs, Weight((2,) + (0,) * (rs.rank - 1)))
+        for k in range(rs.rank + 3):
+            g = ch_g_via_hooks(rs, k).body
+            rhs = literal_rhs(rs, k)
+            # the block, and two W-invariant blocks that are wrong
+            for cand in (g, g + chi.scale(Q(1)), g.scale(Q(1))):
+                holds = delta * cand == rhs
+                assert (block_identity_failure(rs, k, cand) == "") == holds, k
+            assert block_identity_failure(rs, k, g) == ""
+
+    @pytest.mark.parametrize("rs", SMALL, ids=_name)
+    def test_premise_rejects_a_block_that_is_not_invariant(self, rs):
+        # e^{-rho} moves to e^0, which lies on every wall: the straightened
+        # coefficients do not see it, but Delta * g does
+        k = 2
+        g = ch_g_via_hooks(rs, k).body + GAElem.exponential(-rs.rho)
+        assert not is_w_invariant(g, rs)
+        assert straighten(g.shift(rs.rho), rs) == chamber_form(rs, k)
+        assert weyl_denominator(rs) * g != literal_rhs(rs, k)
+        assert block_identity_failure(rs, k, g) == "block is not W-invariant"
 
 
 class TestRouteEquality:
@@ -411,6 +480,21 @@ class TestConstituents:
                 lam = Weight.from_coords(parts + (0,) * (n - len(parts)))
                 total = total + weyl_character(rs, lam).scale(Q(p + 2 * n, sign))
             assert total == ch_g_via_antisym(rs, k).body, k
+
+    @pytest.mark.parametrize("rs", ALL, ids=_name)
+    def test_derived_from_the_chamber_form(self, rs):
+        # the antisymmetrizer route read as constituents: every monomial of
+        # c_nu on chi_{nu - rho}, normalized as constituents() does
+        n = rs.rank
+        for k in range(1, n + 1):
+            derived = []
+            for nu, c in chamber_form(rs, k).items():
+                lam = Weight(nu) - rs.rho
+                parts = tuple(int(x) for x in lam.coords if x)
+                for e, m in c.terms.items():
+                    power = e // 4 if not parts else e // 4 - 2 * n
+                    derived.append((power, parts, m))
+            assert sorted(derived) == constituents(rs, k), k
 
 
 class TestHookTerms:

@@ -19,6 +19,7 @@ from qcasimir.chars import (
     ga_eval,
     natural_character,
     simple_reflections,
+    straighten,
     weyl_character,
     weyl_denominator,
 )
@@ -168,6 +169,98 @@ class TestAntisymmetrizer:
             chi = weyl_character(rs, lam)
             lhs = antisymmetrize(GAElem.exponential(rs.rho) * chi, rs)
             assert lhs == alternant(rs, lam + rs.rho)
+
+
+def literal_antisymmetrize(x, rs):
+    """sum over the enumerated group of sgn(w) * w(x), term by term."""
+    total = GAElem.zero(x.rank)
+    for w in enumerate_weyl(rs):
+        total = total + x.act(w).scale(QLaurent({0: w.sgn()}))
+    return total
+
+
+def _rand_key(rs, rng, kind):
+    n = rs.rank
+    if kind == "integral":
+        return tuple(2 * rng.randint(-4, 4) for _ in range(n))
+    if kind == "spin":
+        return tuple(2 * rng.randint(-4, 3) + 1 for _ in range(n))
+    if kind == "mixed":
+        return tuple(rng.randint(-8, 8) for _ in range(n))
+    # wall: a tie of two magnitudes, or a zero coordinate (a wall in types
+    # B and C, not in type D)
+    key = [rng.randint(-8, 8) for _ in range(n)]
+    i, j = rng.sample(range(n), 2)
+    key[j] = rng.choice((key[i], -key[i])) if rng.random() < 0.7 else 0
+    return tuple(key)
+
+
+_KINDS = ("integral", "spin", "mixed", "wall")
+
+
+class TestStraighten:
+    """The chamber kernel against the literal sum over the enumerated group,
+    and its rules on hand-picked keys."""
+
+    @pytest.mark.parametrize("rs", [B2, B3, C3, D4], ids=lambda r: f"{r.lie_type.value}{r.rank}")
+    def test_antisymmetrize_equals_literal_sum(self, rs):
+        rng = random.Random(f"straighten-{rs.lie_type.value}{rs.rank}")
+        for _ in range(6):
+            terms = {}
+            for kind in _KINDS:
+                for _ in range(3):
+                    terms[_rand_key(rs, rng, kind)] = _rand_coeff(rng, "q")
+            # a key and its reversal share an orbit, so their straightened
+            # terms combine
+            key = _rand_key(rs, rng, "mixed")
+            terms[key] = _rand_coeff(rng, "q")
+            terms[tuple(reversed(key))] = _rand_coeff(rng, "q")
+            x = GAElem(rs.rank, terms)
+            assert antisymmetrize(x, rs) == literal_antisymmetrize(x, rs)
+
+    @pytest.mark.parametrize("rs", [B2, B3, C3, D4], ids=lambda r: f"{r.lie_type.value}{r.rank}")
+    def test_alternant_equals_literal_sum(self, rs):
+        rng = random.Random(f"alternant-{rs.lie_type.value}{rs.rank}")
+        for kind in _KINDS:
+            for _ in range(5):
+                lam = Weight(_rand_key(rs, rng, kind))
+                expected = literal_antisymmetrize(GAElem.exponential(lam), rs)
+                assert alternant(rs, lam) == expected
+
+    @pytest.mark.parametrize("rs", [B2, B3, C3, D4], ids=lambda r: f"{r.lie_type.value}{r.rank}")
+    def test_keys_are_strictly_dominant(self, rs):
+        rng = random.Random(9)
+        x = GAElem(rs.rank, {_rand_key(rs, rng, "mixed"): ONE for _ in range(40)})
+        for key in straighten(x, rs):
+            lam = Weight(key)
+            assert rs.is_dominant(lam)
+            assert all(pairing(lam, alpha) != 0 for alpha in rs.positive_roots)
+
+    def test_rules_types_b_and_c(self):
+        for rs in (B3, C3):
+            def one(key):
+                return straighten(GAElem(3, {key: ONE}), rs)
+
+            assert one((6, 4, 2)) == {(6, 4, 2): ONE}
+            assert one((4, 6, 2)) == {(6, 4, 2): -ONE}  # one transposition
+            assert one((-4, 6, 2)) == {(6, 4, 2): ONE}  # and one sign flip
+            assert one((-6, -4, 2)) == {(6, 4, 2): ONE}  # two sign flips
+            assert one((6, 0, 2)) == {}  # a zero
+            assert one((6, -2, 2)) == {}  # a tie of magnitudes
+
+    def test_rules_type_d(self):
+        def one(key):
+            return straighten(GAElem(4, {key: ONE}), D4)
+
+        # the sort reverses four entries (an even permutation); one negative
+        # coordinate stays on the last one
+        assert one((2, 4, 6, -8)) == {(8, 6, 4, -2): ONE}
+        assert one((-2, 4, 6, 8)) == {(8, 6, 4, -2): ONE}
+        assert one((4, 2, 6, 8)) == {(8, 6, 4, 2): -ONE}
+        # a zero absorbs an odd sign flip and does not drop the term
+        assert one((0, 2, 4, -6)) == {(6, 4, 2, 0): ONE}
+        assert one((0, 0, 4, 6)) == {}
+        assert one((2, -2, 4, 6)) == {}
 
 
 class TestDenominator:

@@ -170,6 +170,27 @@ def test_verify_block_suite_small(capsys):
     assert all(c["status"] == "pass" for c in report["cases"])
 
 
+@pytest.mark.parametrize(
+    "suite, other", [("thm44", "C"), ("thm45", "B"), ("thm46", "B")]
+)
+def test_verify_theorem_suite_rejects_another_type(capsys, suite, other):
+    code, out, err = run(
+        capsys, "verify", "--suite", suite, "--type", other, "--rank", "4"
+    )
+    assert code == 2
+    assert out == ""
+    assert "covers type" in err and f"not {other}" in err
+
+
+def test_verify_all_keeps_the_type_filter(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--type", "B", "--rank", "2")
+    assert code == 0
+    ids = [c["id"] for c in json.loads(out)["cases"]]
+    blocks = [i for i in ids if i.startswith(("closed-form-", "block-identity-", "routes-"))]
+    assert "block-identity-B2-k4" in blocks and "routes-B2-k4" in blocks
+    assert all("-B2-" in i for i in blocks)
+
+
 def test_verify_torus_suite(capsys):
     code, out, err = run(
         capsys, "verify", "--suite", "torus", "--type", "B", "--rank", "2"
