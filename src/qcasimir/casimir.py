@@ -32,7 +32,6 @@ from typing import Sequence
 
 from .chars import (
     GAElem,
-    ga_eval,
     natural_character,
     straighten,
     weyl_character,
@@ -302,44 +301,38 @@ def hc_at_weight(rs: RootSystem, ell: int, lam: Weight) -> QLaurent:
     return QLaurent(num)
 
 
-def _cancel_v_minus_one(num: QLaurent, den: QLaurent) -> tuple[QLaurent, QLaurent]:
-    """Cancel common (v - 1) factors (v = q^{1/4}) from an exact
-    numerator/denominator pair; the only rational zero of (q^{-1} - q)
-    powers reachable with a rational s (q = s^4) is q = 1, i.e. v = 1,
-    and vanishing at v = 1 is exactly divisibility by (v - 1)."""
+def _quotient_at(num: QLaurent, den: QLaurent, s: Coeff) -> Fraction:
+    """Exact value of num / den at q^(1/4) := s.
+
+    When den(s) = 0, common (v - 1) factors (v = q^(1/4)) are cancelled
+    first: the only rational zero of the (q^{-1} - q) powers reachable with
+    a rational s (q = s^4) is q = 1, i.e. v = 1, and vanishing at v = 1 is
+    exactly divisibility by (v - 1).  A pole that survives raises
+    :class:`DegenerateEvaluation`.
+    """
+    dval = den.evaluate(s)
+    if dval:
+        return num.evaluate(s) / dval
     factor = QLaurent({1: 1, 0: -1})  # v - 1
     while num.terms and num.evaluate(1) == 0 and den.evaluate(1) == 0:
         num = num.div_exact(factor)
         den = den.div_exact(factor)
-    return num, den
+    dval = den.evaluate(s)
+    if dval == 0:
+        raise DegenerateEvaluation("pole survives cancellation at this point")
+    return num.evaluate(s) / dval
 
 
 def hc_value(
     rs: RootSystem, ell: int, s: Coeff, half_point: Sequence[Coeff]
 ) -> Fraction:
     """Exact value of the order-ell torus image at e^{eps_i/2} :=
-    half_point[i], q^{1/4} := s; removable q = 1 singularities (e.g. the
+    half_point[i], q^{1/4} := s: the binomial combination specialized at the
+    point, over (q^{-1} - q)^ell.  Removable q = 1 singularities (e.g. the
     classical limit at the all-ones point) are cleared by exact cancellation
     rather than by a limit."""
-    img = hc_image(rs, ell)
-    den = img.denominator
-    s = Fraction(s)
-    if den.evaluate(s) != 0:
-        return img.body.evaluate(s, half_point) / den.evaluate(s)
-    # substitute the point first; the q-dependence collapses to one pair
-    num = QLaurent.zero()
-    pt = [Fraction(x) for x in half_point]
-    for w, c in img.body.terms.items():
-        scalar = Fraction(1)
-        for x, d in zip(pt, w):
-            if d:
-                scalar *= x**d
-        num = num + c * scalar
-    num, den = _cancel_v_minus_one(num, den)
-    dval = den.evaluate(s)
-    if dval == 0:
-        raise DegenerateEvaluation("pole survives cancellation at this point")
-    return num.evaluate(s) / dval
+    num = hc_combination(rs, ell).specialize(half_point)
+    return _quotient_at(num, hc_denominator(ell), s)
 
 
 # ---------------------------------------------------------------------------
@@ -516,18 +509,19 @@ def eigenvalue_direct(
 def eigenvalue_via_hc(
     rs: RootSystem, lam: Weight, ell: int, s: Coeff
 ) -> Fraction:
-    """The same scalar from the symbolic torus image: evaluate it at
-    e^{eps_a} := q^{(2 eps_a, lam + rho)}."""
+    """The same scalar from the symbolic torus image: the binomial
+    combination specialized at e^{eps_a} := q^{2(lam + rho, eps_a)}
+    (:func:`hc_at_weight`) over (q^{-1} - q)^ell, at q^{1/4} := s.  At
+    s = 1 this is the classical limit, by exact cancellation.  At ell = 0
+    the invariant is the constant k = 0 block."""
     rs.check_highest_weight(lam)
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    sf = Fraction(s)
-    lam_rho = lam + rs.rho
-    # e^{eps_a/2} evaluates to q^{(eps_a, lam+rho)} = s^{2 * dbl(lam+rho)_a}
-    half_point = [sf ** (2 * d) for d in lam_rho.dbl]
     if ell == 0:
-        return ga_eval(ch_g_via_antisym(rs, 0).body, s, half_point)
-    return hc_value(rs, ell, s, half_point)
+        num = ch_g_via_antisym(rs, 0).body.specialize([1] * rs.rank)
+    else:
+        num = hc_at_weight(rs, ell, lam)
+    return _quotient_at(num, hc_denominator(ell), s)
 
 
 # ---------------------------------------------------------------------------

@@ -93,10 +93,6 @@ class SignedPerm:
     def rank(self) -> int:
         return len(self.perm)
 
-    def images(self) -> tuple[int, ...]:
-        """Signed images: entry i-1 is w(i) in {-n..-1, 1..n}."""
-        return tuple(p * s for p, s in zip(self.perm, self.signs))
-
     def apply(self, w: Weight) -> Weight:
         if len(w.dbl) != len(self.perm):
             raise RankMismatch("weight rank differs from permutation rank")
@@ -208,7 +204,7 @@ class GAElem(EPoly):
     The ring is :class:`EPoly` with E_i read as e^(eps_i/2): ``terms`` maps
     the doubled coordinates of each weight to a nonzero QLaurent value.
     Immutable; adds the Weyl action, the chain-sum division by binomials and
-    exact evaluation.
+    the specialization of the weight variables at a point.
     """
 
     __slots__ = ()
@@ -310,32 +306,37 @@ class GAElem(EPoly):
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, s: Coeff, half_point: Sequence[Coeff]) -> Fraction:
-        """Exact value with q^(1/4) := s and e^(eps_i/2) := half_point[i-1].
+    def specialize(self, half_point: Sequence[Coeff]) -> QLaurent:
+        """The q-Laurent polynomial left by e^(eps_i/2) := half_point[i-1],
+        with q kept.
 
         The point gives the values of the half exponentials, so spin weights
-        evaluate exactly; integral weights only ever use the squares.
+        specialize exactly; integral weights only ever use the squares.  Each
+        power of a point coordinate is computed once.
         """
         if len(half_point) != self.rank:
             raise GridMismatch("point length differs from rank")
         pt = [Fraction(x) for x in half_point]
         if any(x == 0 for x in pt):
             raise ZeroBase("zero entry in evaluation point")
-        s = Fraction(s)
-        if s == 0:
-            raise ZeroBase("evaluation at q^(1/4) = 0")
         powers: list[dict[int, Fraction]] = [{} for _ in range(self.rank)]
-        total = Fraction(0)
+        acc: dict[int, Coeff] = {}
         for key, c in self.terms.items():
-            val = c.evaluate(s)
+            scalar = 1
             for i, d in enumerate(key):
                 if d:
                     p = powers[i].get(d)
                     if p is None:
                         p = powers[i][d] = pt[i] ** d
-                    val *= p
-            total += val
-        return total
+                    scalar *= p
+            for e, x in c.terms.items():
+                acc[e] = acc.get(e, 0) + x * scalar
+        return QLaurent(acc)
+
+    def evaluate(self, s: Coeff, half_point: Sequence[Coeff]) -> Fraction:
+        """Exact value with q^(1/4) := s and e^(eps_i/2) := half_point[i-1]:
+        :meth:`specialize`, then evaluate in q."""
+        return self.specialize(half_point).evaluate(s)
 
     # -- display --------------------------------------------------------------
 
@@ -543,12 +544,6 @@ def ext_power_char(rs: RootSystem, r: int) -> GAElem:
     if r < 0 or r > rs.dim_natural:
         return GAElem.zero(rs.rank)
     return _ext_power_chars(rs.lie_type, rs.rank)[r]
-
-
-def ga_eval(
-    x: GAElem, s: Coeff, half_point: Sequence[Coeff]
-) -> Fraction:
-    return x.evaluate(s, half_point)
 
 
 def is_w_invariant(x: GAElem, rs: RootSystem, full: bool = False) -> bool:

@@ -40,7 +40,9 @@ class UsageError(Exception):
     pass
 
 
-def _parse_coords(text: str) -> Weight:
+def _parse_coords(text: str | None) -> Weight:
+    if text is None:
+        raise UsageError("--lambda is required")
     try:
         return Weight.from_coords([Fraction(p) for p in text.split(",")])
     except (ValueError, ZeroDivisionError, RootDataError) as exc:

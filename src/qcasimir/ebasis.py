@@ -170,15 +170,14 @@ def jt_character(rs: RootSystem, parts, target: str = "ga"):
     return EBasisExpr(det, tuple(syms.foldings))
 
 
-def hook_matrix_printed(rs: RootSystem, k: int, r: int, symbols=None) -> list[list]:
+def hook_matrix_printed(rs: RootSystem, k: int, r: int) -> list[list]:
     """The (k-r) x (k-r) upper-Hessenberg matrix attached to the hook
     (k-r, 1^r): first row e_{r+j} +- e_{r-+j...}, unit subdiagonal, e_1 on
     the remaining diagonal.  Its plain determinant equals the halved general
     determinant in types B/D, and the general one in type C."""
     if not (k - r >= 1 and 0 <= r <= rs.rank - 1):
         raise IndexOutOfRange("need k-r >= 1 and 0 <= r <= n-1")
-    if symbols is None:
-        symbols = _GASymbols(rs)
+    symbols = _GASymbols(rs)
     plus = rs.lie_type in (LieType.B, LieType.D)
     size = k - r
     rows = []

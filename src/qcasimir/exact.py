@@ -596,11 +596,10 @@ class EPoly:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(rank={self.rank}, {len(self.terms)} terms)"
 
-    def format(self, names: Sequence[str] | None = None) -> str:
+    def format(self) -> str:
         if not self.terms:
             return "0"
-        if names is None:
-            names = [f"E{i}" for i in range(1, self.rank + 1)]
+        names = [f"E{i}" for i in range(1, self.rank + 1)]
         parts = []
         for m, c in sorted(self.terms.items(), reverse=True):
             syms = "*".join(

@@ -30,7 +30,6 @@ from qcasimir.chars import (
     GAElem,
     divide_by_denominator,
     enumerate_weyl,
-    ga_eval,
     is_w_invariant,
     natural_character,
     straighten,
@@ -38,7 +37,14 @@ from qcasimir.chars import (
     weyl_denominator,
 )
 from qcasimir.exact import NotDivisible, QLaurent
-from qcasimir.roots import LieType, NotOnWeightLattice, Weight, build_root_system, eps
+from qcasimir.roots import (
+    LieType,
+    NotOnWeightLattice,
+    Weight,
+    build_root_system,
+    eps,
+    pairing,
+)
 from qcasimir.verify import (
     block_identity_failure,
     in_scope_systems,
@@ -270,13 +276,13 @@ class TestRationalOracle:
             body = ch_g_via_antisym(rs, k).body
             for s in (2, Fraction(5, 2)):
                 pt = self.draw(rs, rng)
-                assert g_rational_eval(rs, k, s, pt) == ga_eval(body, s, pt)
+                assert g_rational_eval(rs, k, s, pt) == body.evaluate(s, pt)
 
     def test_k0_matches_quantum_dimension(self):
         rng = random.Random("qdim")
         pt = self.draw(B3, rng)
         val = g_rational_eval(B3, 0, 2, pt)
-        assert val == ga_eval(closed_form_g0(B3), 2, pt)
+        assert val == closed_form_g0(B3).evaluate(2, pt)
 
     def test_degenerate_point_rejected(self):
         pt = [Fraction(3, 2), Fraction(3, 2), Fraction(2)]
@@ -347,7 +353,7 @@ class TestEigenvalues:
     def test_order_zero_is_quantum_dimension(self):
         for rs in SMALL:
             lam = Weight.zero(rs.rank)
-            expected = ga_eval(closed_form_g0(rs), 2, [1] * rs.rank)
+            expected = closed_form_g0(rs).evaluate(2, [1] * rs.rank)
             assert eigenvalue_direct(rs, lam, 0, 2) == expected
             assert eigenvalue_via_hc(rs, lam, 0, 2) == expected
 
@@ -387,6 +393,26 @@ class TestEigenvalues:
             eigenvalue_direct(D4, Weight((5, 3, 1, 1)), 1, 2)
         assert eigenvalue_via_hc(D4, Weight((5, 3, 1, 1)), 1, 2) is not None
 
+    # integral and spin weights (doubled coordinates); type D takes both
+    # signs of the last coordinate
+    CLASSICAL = (
+        (B2, ((2, 0), (1, 1), (3, 1), (5, 3))),
+        (B3, ((2, 2, 0), (4, 2, 2), (3, 3, 1))),
+        (C3, ((2, 0, 0), (4, 2, 0), (6, 2, 2))),
+        (D4, ((2, 2, 2, -2), (4, 2, 0, 0), (1, 1, 1, 1), (3, 1, 1, -1))),
+    )
+
+    def test_classical_limit_at_s_one(self):
+        # at q = 1 the order-two invariant acts by 2 (lam, lam + 2 rho), the
+        # Casimir eigenvalue, and the order-one invariant by 0; the torus
+        # image has a removable pole there, cleared by exact cancellation
+        for rs, weights in self.CLASSICAL:
+            for dbl in weights:
+                lam = Weight(dbl)
+                expected = 2 * pairing(lam, lam + rs.rho.scale(2))
+                assert eigenvalue_via_hc(rs, lam, 2, 1) == expected
+                assert eigenvalue_via_hc(rs, lam, 1, 1) == 0
+
     def test_structural_degeneracies_raise(self):
         with pytest.raises(DegenerateEvaluation):
             eigenvalue_direct(B2, Weight((4, 0)), 1, 2)  # last coord zero
@@ -422,8 +448,8 @@ class TestEigenvalues:
         lam_rho = lam + rs.rho
         half_point = [s ** (2 * d) for d in lam_rho.dbl]
         lhs = (1 / q - q) * eigenvalue_via_hc(rs, lam, 1, s)
-        g0 = ga_eval(ch_g_via_antisym(rs, 0).body, s, half_point)
-        g1 = ga_eval(ch_g_via_antisym(rs, 1).body, s, half_point)
+        g0 = ch_g_via_antisym(rs, 0).body.evaluate(s, half_point)
+        g1 = ch_g_via_antisym(rs, 1).body.evaluate(s, half_point)
         assert lhs == g0 - q ** (1 - rs.c_n) * g1
 
 

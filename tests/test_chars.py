@@ -16,7 +16,6 @@ from qcasimir.chars import (
     divide_by_denominator,
     enumerate_weyl,
     ext_power_char,
-    ga_eval,
     natural_character,
     simple_reflections,
     straighten,
@@ -282,7 +281,7 @@ class TestDenominator:
 
     def test_vanishes_on_walls(self):
         delta = weyl_denominator(B2)
-        assert ga_eval(delta, 1, [Fraction(3, 2), Fraction(3, 2)]) == 0
+        assert delta.evaluate(1, [Fraction(3, 2), Fraction(3, 2)]) == 0
 
 
 class TestDivision:
@@ -456,12 +455,12 @@ class TestWeylCharacter:
     def test_natural_c3(self):
         chi = weyl_character(C3, eps(3, 1))
         assert len(chi.terms) == 6
-        assert ga_eval(chi, 1, [1, 1, 1]) == 6
+        assert chi.evaluate(1, [1, 1, 1]) == 6
 
     def test_spin_b2(self):
         chi = weyl_character(B2, B2.fundamental_weight(2))
         assert set(chi.terms) == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
-        assert ga_eval(chi, 1, [1, 1]) == 4
+        assert chi.evaluate(1, [1, 1]) == 4
 
     def test_rejects_non_dominant(self):
         with pytest.raises(NotDominant):
@@ -484,7 +483,7 @@ class TestWeylCharacter:
         for rs in (B2, C3, D4):
             for lam in _integral_dominant(rs, 2):
                 chi = weyl_character(rs, lam)
-                assert ga_eval(chi, 1, [1] * rs.rank) == weyl_dimension(rs, lam)
+                assert chi.evaluate(1, [1] * rs.rank) == weyl_dimension(rs, lam)
 
     def test_coefficients_constant_in_q(self):
         for lam in _integral_dominant(C3, 2):
@@ -533,24 +532,32 @@ class TestExtPowers:
 
 class TestEvaluation:
     def test_constant(self):
-        assert ga_eval(GAElem.one(2), Fraction(7, 2), [2, 3]) == 1
+        assert GAElem.one(2).evaluate(Fraction(7, 2), [2, 3]) == 1
 
     def test_natural_dimension(self):
-        assert ga_eval(weyl_character(B2, eps(2, 1)), 1, [1, 1]) == 5
+        assert weyl_character(B2, eps(2, 1)).evaluate(1, [1, 1]) == 5
 
     def test_half_grid_points(self):
         spin = weyl_character(B2, B2.fundamental_weight(2))
         # e^{eps_i/2} -> 2, 3 means e^{(eps_1+eps_2)/2} -> 6
-        val = ga_eval(spin, 1, [2, 3])
+        val = spin.evaluate(1, [2, 3])
         assert val == 6 + Fraction(2, 3) + Fraction(3, 2) + Fraction(1, 6)
+
+    def test_specialize_keeps_q(self):
+        # q e^{eps_1} + (2q + q^{-1}) e^{-eps_2/2} at e^{eps_i/2} -> 2, 3
+        x = GAElem(2, {(2, 0): Q(1), (0, -1): Q(1, 2) + Q(-1)})
+        sp = x.specialize([2, 3])
+        assert sp == QLaurent({4: Fraction(14, 3), -4: Fraction(1, 3)})
+        for s in (1, 2, Fraction(-3, 2)):
+            assert x.evaluate(s, [2, 3]) == sp.evaluate(s)
 
     def test_errors(self):
         with pytest.raises(GridMismatch):
-            ga_eval(GAElem.one(2), 1, [1])
+            GAElem.one(2).evaluate(1, [1])
         with pytest.raises(ZeroBase):
-            ga_eval(GAElem.one(2), 1, [0, 1])
+            GAElem.one(2).evaluate(1, [0, 1])
         with pytest.raises(ZeroBase):
-            ga_eval(GAElem.one(2), 0, [1, 1])
+            GAElem.one(2).evaluate(0, [1, 1])
 
 
 class TestCosetDecomposition:

@@ -270,3 +270,38 @@ def test_verify_jt_type_d_passes(capsys):
     ids = {c["id"] for c in report["cases"]}
     assert {"jt-D4-1,1,1,1", "jt-D4-2,1,1,1", "jt-D4-3,1,1,1"} <= ids
     assert all(c["status"] == "pass" for c in report["cases"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("char", "--type", "B", "--rank", "2"),
+        ("eig", "--type", "B", "--rank", "2", "--ell", "2"),
+    ],
+    ids=("char", "eig"),
+)
+def test_missing_lambda_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--lambda is required" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--suite", "oracle", "--points", "0"), "points must be >= 1"),
+        (("--suite", "oracle", "--points", "-3"), "points must be >= 1"),
+        (("--suite", "thm44", "--rank", "7"), "no in-scope system"),
+        (("--suite", "all", "--type", "B", "--rank", "5"), "no in-scope system"),
+        (("--suite", "thm44", "--rank", "5"), "selects no cases"),
+        (("--suite", "stability", "--max-rank", "1"), "selects no cases"),
+    ],
+    ids=("points-0", "points-neg", "rank-7", "B5", "thm44-rank-5", "stability-max-rank-1"),
+)
+def test_verify_selection_without_cases_is_usage_error(capsys, argv, message):
+    # each of these used to report success without checking anything
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err

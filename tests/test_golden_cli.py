@@ -1,0 +1,146 @@
+"""Golden command line outputs: a fixed, cheap command set run in-process
+must print exactly the bytes recorded for it.
+
+Each entry pairs an argument list with the exit code and the SHA-256 of
+stdout that the command produced when the digests were recorded.  A change
+that means to keep the CLI output identical must leave every digest
+matching; a change that alters an output on purpose updates the digest
+and says why.  To print the current digests, run this file as a script:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import hashlib
+import io
+from contextlib import redirect_stdout
+
+import pytest
+
+from qcasimir.cli import main
+
+FORMATS = ("json", "text", "latex")
+
+
+def _commands() -> list[tuple[str, ...]]:
+    cmds: list[tuple[str, ...]] = []
+    for t, n in (("B", "2"), ("C", "3"), ("D", "4")):
+        for fmt in FORMATS:
+            cmds.append(("roots", "--type", t, "--rank", n, "--format", fmt))
+    for t, n, lam in (
+        ("B", "2", "1/2,1/2"),
+        ("C", "3", "2,1,0"),
+        ("D", "4", "1/2,1/2,1/2,-1/2"),
+    ):
+        for fmt in FORMATS:
+            cmds.append(("char", "--type", t, "--rank", n, "--lambda", lam, "--format", fmt))
+    for route in ("antisym", "hooks"):
+        for k in range(4):
+            for fmt in FORMATS:
+                cmds.append(
+                    ("gnk", "--type", "B", "--rank", "2", "--k", str(k),
+                     "--route", route, "--format", fmt)
+                )
+    for fmt in FORMATS:
+        cmds.append(("hc", "--type", "B", "--rank", "2", "--ell", "2", "--format", fmt))
+    for fmt in ("json", "text"):
+        cmds.append(
+            ("eig", "--type", "C", "--rank", "3", "--lambda", "2,1,0",
+             "--ell", "2", "--s", "2", "--format", fmt)
+        )
+    for fmt in FORMATS:
+        cmds.append(("hook", "--type", "C", "--rank", "3", "--k", "5", "--r", "4", "--format", fmt))
+        cmds.append(
+            ("hook", "--type", "D", "--rank", "4", "--k", "4", "--r", "3", "--bar",
+             "--format", fmt)
+        )
+    for fmt in ("json", "text"):
+        cmds.append(("solve-basis", "--type", "B", "--rank", "3", "--format", fmt))
+    cmds.append(("verify", "--suite", "thm44", "--type", "B", "--rank", "2"))
+    cmds.append(("verify", "--suite", "torus", "--type", "B", "--rank", "2"))
+    cmds.append(("verify", "--suite", "jt", "--type", "C", "--rank", "3"))
+    return cmds
+
+
+def _run(argv: tuple[str, ...]) -> tuple[int, str]:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(list(argv))
+    return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+GOLDEN: dict[tuple[str, ...], tuple[int, str]] = {
+    ('roots', '--type', 'B', '--rank', '2', '--format', 'json'): (0, 'a5f5979fcf353f19dae48790899d5254a218a8edb456e6ca59ee2de420f9f46c'),
+    ('roots', '--type', 'B', '--rank', '2', '--format', 'text'): (0, '977ff480fdab936a441afe959ffc3e723080c2e381c9c6ba7476bf72ae02240c'),
+    ('roots', '--type', 'B', '--rank', '2', '--format', 'latex'): (0, '1d0498eb13c3c0b1f7bad7c00d7d7282b9322c29bf305b830ffc09ff7750a0e9'),
+    ('roots', '--type', 'C', '--rank', '3', '--format', 'json'): (0, '3f30cee5d65cc47039b24f19e48bcf53579e116c53bdd9c3735c69491aae1189'),
+    ('roots', '--type', 'C', '--rank', '3', '--format', 'text'): (0, 'c3868ca53b43a431bda9bb31f9a1ba100b9ba5168cf61aff8b4abefd92b695a7'),
+    ('roots', '--type', 'C', '--rank', '3', '--format', 'latex'): (0, '88c843fbb5f5b39d01c3a85a0cf3d88a93895b55bbcfe389c943cda03494f537'),
+    ('roots', '--type', 'D', '--rank', '4', '--format', 'json'): (0, '878e53833d135be671c718212995fa1e87a7033870306933e128202276d23561'),
+    ('roots', '--type', 'D', '--rank', '4', '--format', 'text'): (0, '13154dfa8e7660edaba113345a92654e1676290ce55586b1a3c8018fae0ca357'),
+    ('roots', '--type', 'D', '--rank', '4', '--format', 'latex'): (0, '8af40fb91f4274682e1bc816aac90103d949761b8aa35dd0d6754f40955e717b'),
+    ('char', '--type', 'B', '--rank', '2', '--lambda', '1/2,1/2', '--format', 'json'): (0, 'd7f1c33f0e00c3399e7ae79418195dcf937b2e71181d6e0a025c44ec803d7b3c'),
+    ('char', '--type', 'B', '--rank', '2', '--lambda', '1/2,1/2', '--format', 'text'): (0, 'a2ead9637658128a3a90c973a7bb79af159ef6781cd5dee9660319c425a2c962'),
+    ('char', '--type', 'B', '--rank', '2', '--lambda', '1/2,1/2', '--format', 'latex'): (0, 'c0c7a8486a3c3af328552d97afa0df60fd5e77e834842b9a44e2ba9185871cb3'),
+    ('char', '--type', 'C', '--rank', '3', '--lambda', '2,1,0', '--format', 'json'): (0, '041b532fc43b5aa7c01f9e754aa9dfb8103be58b2388c403bccca4660fe885bc'),
+    ('char', '--type', 'C', '--rank', '3', '--lambda', '2,1,0', '--format', 'text'): (0, '93da99692a16abbd4f5193366a6e04bf199476ef8291bba31998ef66289c7932'),
+    ('char', '--type', 'C', '--rank', '3', '--lambda', '2,1,0', '--format', 'latex'): (0, '3ffd656332c6023be10500487e4b61fbaec83a11fafc11657b32102e38a03665'),
+    ('char', '--type', 'D', '--rank', '4', '--lambda', '1/2,1/2,1/2,-1/2', '--format', 'json'): (0, 'ab22f33287cf8e90a859ce35c2f9d24999f3ee506a0281c17df6654a0bfba75d'),
+    ('char', '--type', 'D', '--rank', '4', '--lambda', '1/2,1/2,1/2,-1/2', '--format', 'text'): (0, 'ebafdf157dc38ff7c0599b4a85817610fac56bf4a8adbe61bb0d0e724c19056f'),
+    ('char', '--type', 'D', '--rank', '4', '--lambda', '1/2,1/2,1/2,-1/2', '--format', 'latex'): (0, 'abfcafd8d494f7b67060ee40065b4ac1fdd44d0e7e95019c8d33c5b904fe0d40'),
+    ('gnk', '--type', 'B', '--rank', '2', '--k', '0', '--route', 'antisym', '--format', 'json'): (0, 'bcf1fcd8e6377ae745a877f32f0bb3ae89da5f789dc26bd7b5f9a0ac9db57292'),
+    ('gnk', '--type', 'B', '--rank', '2', '--k', '0', '--route', 'antisym', '--format', 'text'): (0, '769b470f781a1f5f0649f45a3109cafe1421dcb0af818a478f19e7ac89696b5c'),
+    ('gnk', '--type', 'B', '--rank', '2', '--k', '0', '--route', 'antisym', '--format', 'latex'): (0, '6b112f07ce1ff81a2a6cfddce4079144bd874445f0e96ac3a675d4c9c14265a3'),
+    ('gnk', '--type', 'B', '--rank', '2', '--k', '1', '--route', 'antisym', '--format', 'json'): (0, '0c35e9bcd795b422713339776d9525b0f460eb45140dff56a4b3c93ef735ed6b'),
+    ('gnk', '--type', 'B', '--rank', '2', '--k', '1', '--route', 'antisym', '--format', 'text'): (0, '063afaec65cc426fe2fcd8c5ae4db40fbc2256f5ef94fd711eabf40a4da0bce6'),
+    ('gnk', '--type', 'B', '--rank', '2', '--k', '1', '--route', 'antisym', '--format', 'latex'): (0, '568cd62ffbfa116f8e92ccfe880bd8ab8c003648888b87102b56035e7f16f84e'),
+    ('gnk', '--type', 'B', '--rank', '2', '--k', '2', '--route', 'antisym', '--format', 'json'): (0, '043a9edd253fe8e90e1f24e166d23596ee6c4b52cc91d04864c02126d32ed7a6'),
+    ('gnk', '--type', 'B', '--rank', '2', '--k', '2', '--route', 'antisym', '--format', 'text'): (0, '9cc2042800002abf39faae2c72dd56aa5a774e977563119471c17a445e57e738'),
+    ('gnk', '--type', 'B', '--rank', '2', '--k', '2', '--route', 'antisym', '--format', 'latex'): (0, '7ffa550590e546bdb66720272c2a4d6b02c614e38d73052270ede15e36cf06ce'),
+    ('gnk', '--type', 'B', '--rank', '2', '--k', '3', '--route', 'antisym', '--format', 'json'): (0, '8eb8e298a30921fcd7bf43229d679a10a11275f8ae5429cbdfeeb804eb623f83'),
+    ('gnk', '--type', 'B', '--rank', '2', '--k', '3', '--route', 'antisym', '--format', 'text'): (0, 'e17c77d843c61fa678a2a4a095cb91a0a471bcc82901538897ba6f7c0c5a54f8'),
+    ('gnk', '--type', 'B', '--rank', '2', '--k', '3', '--route', 'antisym', '--format', 'latex'): (0, 'f388dabdb2eeba494f3100363498412523d93b6e6b76a381b3e3b786ddf35dc5'),
+    ('gnk', '--type', 'B', '--rank', '2', '--k', '0', '--route', 'hooks', '--format', 'json'): (0, 'efeac31bd64d0390f19c76c465301945af5ce14099843a7ba400e97cd691d94b'),
+    ('gnk', '--type', 'B', '--rank', '2', '--k', '0', '--route', 'hooks', '--format', 'text'): (0, '769b470f781a1f5f0649f45a3109cafe1421dcb0af818a478f19e7ac89696b5c'),
+    ('gnk', '--type', 'B', '--rank', '2', '--k', '0', '--route', 'hooks', '--format', 'latex'): (0, '6b112f07ce1ff81a2a6cfddce4079144bd874445f0e96ac3a675d4c9c14265a3'),
+    ('gnk', '--type', 'B', '--rank', '2', '--k', '1', '--route', 'hooks', '--format', 'json'): (0, '6e342788c75f12379c12eadf655c8d67914b91314554fc5d7f87ae7f3498cfa6'),
+    ('gnk', '--type', 'B', '--rank', '2', '--k', '1', '--route', 'hooks', '--format', 'text'): (0, '063afaec65cc426fe2fcd8c5ae4db40fbc2256f5ef94fd711eabf40a4da0bce6'),
+    ('gnk', '--type', 'B', '--rank', '2', '--k', '1', '--route', 'hooks', '--format', 'latex'): (0, '568cd62ffbfa116f8e92ccfe880bd8ab8c003648888b87102b56035e7f16f84e'),
+    ('gnk', '--type', 'B', '--rank', '2', '--k', '2', '--route', 'hooks', '--format', 'json'): (0, '01da68b4f085e3403bd2d2396829b3fe70e75be3f5cb1b17dd6eb6b93e6eb44b'),
+    ('gnk', '--type', 'B', '--rank', '2', '--k', '2', '--route', 'hooks', '--format', 'text'): (0, '9cc2042800002abf39faae2c72dd56aa5a774e977563119471c17a445e57e738'),
+    ('gnk', '--type', 'B', '--rank', '2', '--k', '2', '--route', 'hooks', '--format', 'latex'): (0, '7ffa550590e546bdb66720272c2a4d6b02c614e38d73052270ede15e36cf06ce'),
+    ('gnk', '--type', 'B', '--rank', '2', '--k', '3', '--route', 'hooks', '--format', 'json'): (0, 'cab72b5d40227584dfa65c84590fd500ca1889c7eb5ab0def5ce46ec41a3bbea'),
+    ('gnk', '--type', 'B', '--rank', '2', '--k', '3', '--route', 'hooks', '--format', 'text'): (0, 'e17c77d843c61fa678a2a4a095cb91a0a471bcc82901538897ba6f7c0c5a54f8'),
+    ('gnk', '--type', 'B', '--rank', '2', '--k', '3', '--route', 'hooks', '--format', 'latex'): (0, 'f388dabdb2eeba494f3100363498412523d93b6e6b76a381b3e3b786ddf35dc5'),
+    ('hc', '--type', 'B', '--rank', '2', '--ell', '2', '--format', 'json'): (0, 'ec8f35ce3aeb87134593e7202057ca35530d1a54f7bc37ad067886780297f473'),
+    ('hc', '--type', 'B', '--rank', '2', '--ell', '2', '--format', 'text'): (0, '2fbdef8062e0d3667cbdb3987c9bd6f1b0c86729a23a0c049466308523ff315d'),
+    ('hc', '--type', 'B', '--rank', '2', '--ell', '2', '--format', 'latex'): (0, 'ef7471c60a4cefb0e4024d102367a415e08b68bec9351a5cce831e306fd9c40c'),
+    ('eig', '--type', 'C', '--rank', '3', '--lambda', '2,1,0', '--ell', '2', '--s', '2', '--format', 'json'): (0, 'ee8c327c91f5a7a011d0ead7478b0d8708a921f300c587fd2744c95b6d1a5f19'),
+    ('eig', '--type', 'C', '--rank', '3', '--lambda', '2,1,0', '--ell', '2', '--s', '2', '--format', 'text'): (0, 'ff7c6a8d068eecf7fed4f068519d7dc3100c958e61792e31ed48d7a22a32da58'),
+    ('hook', '--type', 'C', '--rank', '3', '--k', '5', '--r', '4', '--format', 'json'): (0, '2f7ff87ce5a738d213b58d0afbad2dff79dd1746bcef4f5171601e4a12b854a9'),
+    ('hook', '--type', 'D', '--rank', '4', '--k', '4', '--r', '3', '--bar', '--format', 'json'): (0, '20eee9c1cb92336b7ae44841c0bbabf8a695c7b11d9a0d102a0097cb677ac2f0'),
+    ('hook', '--type', 'C', '--rank', '3', '--k', '5', '--r', '4', '--format', 'text'): (0, 'b80b06fa7f17cf7406fae81d13d56e7172f7227ac9cb7a517a5892f8fefce0c2'),
+    ('hook', '--type', 'D', '--rank', '4', '--k', '4', '--r', '3', '--bar', '--format', 'text'): (0, '8a5b12b5719278c4879a4e7d865107e6f925130ea67d5fe6fd464a55130d468c'),
+    ('hook', '--type', 'C', '--rank', '3', '--k', '5', '--r', '4', '--format', 'latex'): (0, '2531b7da04610db101cc681d336afb9edd6c58aa3d7aaaf4c46e845b98ccb187'),
+    ('hook', '--type', 'D', '--rank', '4', '--k', '4', '--r', '3', '--bar', '--format', 'latex'): (0, '53ca2a5b392fc8ee03808d3e5fbbe843d59509cea847e188b85ac14e7e105952'),
+    ('solve-basis', '--type', 'B', '--rank', '3', '--format', 'json'): (0, '600e681d5225b6d8d8007621fa6e9614fe10a8bd7b437114a14c60b87fb278c0'),
+    ('solve-basis', '--type', 'B', '--rank', '3', '--format', 'text'): (0, '25662453cd07f4ca149214f2d16b46441859adcec44296f17e468abe65a9460b'),
+    ('verify', '--suite', 'thm44', '--type', 'B', '--rank', '2'): (0, '9c8bed0b610df3cdaa88ebe2cc43a8afb289d6e80f99200e1cf8a501a15d04f2'),
+    ('verify', '--suite', 'torus', '--type', 'B', '--rank', '2'): (0, '8445eea17c91c6ea5971ee51083a709aff5f50365e8dd30144a0b907c3b3fa45'),
+    ('verify', '--suite', 'jt', '--type', 'C', '--rank', '3'): (0, 'cf3867fe154c720046a01214fbb7bbca870ecb11b45f75ada4252799ef2d10ab'),
+}
+
+
+@pytest.mark.parametrize(
+    "argv", _commands(), ids=lambda a: "-".join(p.lstrip("-") for p in a)
+)
+def test_cli_output_matches_golden_digest(argv):
+    assert _run(argv) == GOLDEN[argv]
+
+
+def test_golden_table_covers_the_command_set():
+    assert sorted(GOLDEN) == sorted(_commands())
+
+
+if __name__ == "__main__":
+    for argv in _commands():
+        print(f"    {argv!r}: {_run(argv)!r},")
