@@ -304,17 +304,17 @@ def hc_at_weight(rs: RootSystem, ell: int, lam: Weight) -> QLaurent:
 def _quotient_at(num: QLaurent, den: QLaurent, s: Coeff) -> Fraction:
     """Exact value of num / den at q^(1/4) := s.
 
-    When den(s) = 0, common (v - 1) factors (v = q^(1/4)) are cancelled
-    first: the only rational zero of the (q^{-1} - q) powers reachable with
-    a rational s (q = s^4) is q = 1, i.e. v = 1, and vanishing at v = 1 is
-    exactly divisibility by (v - 1).  A pole that survives raises
-    :class:`DegenerateEvaluation`.
+    When den(s) = 0, common (v - s) factors (v = q^(1/4)) are cancelled
+    first: vanishing at v = s is exactly divisibility by (v - s).  The
+    (q^{-1} - q) powers vanish at the rational points v = 1 and v = -1 (both
+    q = 1), so this clears the classical limit from either side.  A pole
+    that survives raises :class:`DegenerateEvaluation`.
     """
     dval = den.evaluate(s)
     if dval:
         return num.evaluate(s) / dval
-    factor = QLaurent({1: 1, 0: -1})  # v - 1
-    while num.terms and num.evaluate(1) == 0 and den.evaluate(1) == 0:
+    factor = QLaurent({1: 1, 0: -Fraction(s)})  # v - s
+    while num.terms and num.evaluate(s) == 0 and den.evaluate(s) == 0:
         num = num.div_exact(factor)
         den = den.div_exact(factor)
     dval = den.evaluate(s)

@@ -16,20 +16,28 @@ strictly dominant weight, so expanding the straightened coefficients back
 over the group (:func:`antisymmetrize`, :func:`alternant`) stores each image
 once and adds no coefficients.
 
+Characters (:func:`weyl_character`) divide nothing: Freudenthal's formula
+gives the multiplicity of every dominant weight below the highest weight,
+in integers, and each multiplicity is written onto the distinct images of
+its weight (signed permutations of the coordinates, generated directly), so
+no rank limit applies.  Alternant division, A(lam + rho) / Delta, is kept as
+the independent oracle that the tests and acceptance criterion 8 compare
+against.
+
 :class:`GAElem` is a finite formal sum of exponentials e^mu with q-Laurent
 coefficients, keyed by the doubled coordinates of mu.  It is the Laurent
 ring :class:`~qcasimir.exact.EPoly` with E_i read as e^(eps_i/2), and takes
 its ring arithmetic, packed products and leading-term division from there;
-this module adds only what depends on weights.  Characters are quotients of
-alternants by the Weyl denominator Delta = e^rho * prod over positive roots
-of (1 - e^(-alpha)), divided one binomial factor at a time.  A binomial
-e^u - e^v with u > v is divided by summing the numerator down each chain k,
-k - (u - v), ...: the running sum is the quotient coefficient, and the
-division is exact exactly when every chain sum returns to zero, so no
-coefficient is ever divided.  Other denominators go through lexicographic
-leading-term elimination, whose remainder reaching zero certifies
-exactness.  Monomial order is lexicographic on doubled coordinates, highest
-first (Python tuple comparison).
+this module adds only what depends on weights.  The Weyl denominator is
+Delta = e^rho * prod over positive roots of (1 - e^(-alpha)), and
+:func:`divide_by_denominator` divides by it one binomial factor at a time.
+A binomial e^u - e^v with u > v is divided by summing the numerator down
+each chain k, k - (u - v), ...: the running sum is the quotient
+coefficient, and the division is exact exactly when every chain sum returns
+to zero, so no coefficient is ever divided.  Other denominators go through
+lexicographic leading-term elimination, whose remainder reaching zero
+certifies exactness.  Monomial order is lexicographic on doubled
+coordinates, highest first (Python tuple comparison).
 """
 
 from __future__ import annotations
@@ -37,8 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from collections import Counter
 from itertools import permutations, product
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, mul, sub
 from typing import Sequence
 
 from .exact import (
@@ -361,6 +370,22 @@ class GAElem(EPoly):
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _to_dominant(mags: tuple, key: tuple, type_d: bool) -> tuple[tuple, int]:
+    """The dominant weight in the orbit of ``key`` (doubled coordinates,
+    ``mags`` their absolute values), and the number of negative coordinates
+    of ``key``.
+
+    Sort the |mu_i| in decreasing order; in type D the group flips an even
+    number of signs, so an odd number of negative mu_i leaves the last
+    coordinate negative (a no-op when it is 0).
+    """
+    dom = sorted(mags, reverse=True)
+    flips = sum(1 for d in key if d < 0)
+    if type_d and flips % 2:
+        dom[-1] = -dom[-1]
+    return tuple(dom), flips
+
+
 def straighten(x: GAElem, rs: RootSystem) -> dict[tuple, QLaurent]:
     """The alternating element A(x) = sum over w of sgn(w) * w(x), as its
     coefficients on strictly dominant weights (doubled coordinates).
@@ -383,14 +408,10 @@ def straighten(x: GAElem, rs: RootSystem) -> dict[tuple, QLaurent]:
     res: dict[tuple, QLaurent] = {}
     for key, c in x.terms.items():
         mags = tuple(map(abs, key))
-        dom = sorted(mags, reverse=True)
-        if len(set(dom)) < n or (dom[-1] == 0 and not type_d):
+        if len(set(mags)) < n or (not type_d and 0 in mags):
             continue
-        flips = sum(1 for d in key if d < 0)
+        dom, flips = _to_dominant(mags, key, type_d)
         odd = sum(1 for i, j in pairs if mags[i] < mags[j]) + (0 if type_d else flips)
-        if type_d and flips % 2:
-            dom[-1] = -dom[-1]
-        dom = tuple(dom)
         signed = -c if odd % 2 else c
         prev = res.get(dom)
         nc = signed if prev is None else prev + signed
@@ -497,19 +518,132 @@ def divide_by_denominator(x: GAElem, rs: RootSystem) -> GAElem:
     return x.shift(-rs.rho)
 
 
+def character_by_division(rs: RootSystem, lam: Weight) -> GAElem:
+    """The oracle for :func:`weyl_character`: A(lam + rho) / Delta by
+    alternant division, on the enumerated Weyl group (rank <= 7)."""
+    rs.check_highest_weight(lam)
+    return divide_by_denominator(alternant(rs, lam + rs.rho), rs)
+
+
+def dominant_multiplicities(rs: RootSystem, lam: Weight) -> dict[tuple, int]:
+    """{mu: m(mu)} over the dominant weights mu <= lam (doubled
+    coordinates) of the simple module with highest weight lam, by
+    Freudenthal's formula.
+
+    The dominant weights below lam are reached from lam by subtracting
+    positive roots through dominant weights only (Stembridge: dominant
+    covers differ by a positive root).  Freudenthal's recursion
+
+        ((lam+rho, lam+rho) - (mu+rho, mu+rho)) m(mu)
+            = 2 * sum over alpha > 0, j >= 1 of (mu + j alpha, alpha) m(mu + j alpha)
+
+    is read on doubled coordinates, where both pairings scale by 4, so it
+    stays in integers.  The weights are taken by decreasing (mu+rho, mu+rho):
+    every dominant weight above mu comes earlier, and m(mu + j alpha) is the
+    multiplicity of the dominant weight in its orbit.  The alpha-string
+    through mu is unbroken, so the sum over j stops at the first
+    non-weight.  A quotient that does not divide exactly raises
+    :class:`NotDivisible`.
+    """
+    type_d = rs.lie_type is LieType.D
+    roots = [a.dbl for a in rs.positive_roots]
+
+    def dominant(key):
+        return _to_dominant(tuple(map(abs, key)), key, type_d)[0]
+
+    below = {lam.dbl}
+    frontier = [lam.dbl]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for a in roots:
+                nu = tuple(map(sub, mu, a))
+                if nu not in below and dominant(nu) == nu:
+                    below.add(nu)
+                    nxt.append(nu)
+        frontier = nxt
+
+    rho = rs.rho.dbl
+
+    def norm_rho(mu):
+        return sum((m + r) ** 2 for m, r in zip(mu, rho))
+
+    top = norm_rho(lam.dbl)
+    mult: dict[tuple, int] = {}
+    for mu in sorted(below, key=norm_rho, reverse=True):
+        if mu == lam.dbl:
+            mult[mu] = 1
+            continue
+        total = 0
+        for a in roots:
+            nu = tuple(map(add, mu, a))
+            while (m := mult.get(dominant(nu))) is not None:
+                total += sum(map(mul, nu, a)) * m
+                nu = tuple(map(add, nu, a))
+        gap = top - norm_rho(mu)
+        if gap <= 0 or (2 * total) % gap:
+            raise NotDivisible(
+                f"Freudenthal quotient {2 * total}/{gap} at {mu} is not integral"
+            )
+        mult[mu] = 2 * total // gap
+    return mult
+
+
+def _orbit(dom: tuple, type_d: bool):
+    """The distinct images of the dominant weight ``dom`` under the Weyl
+    group: the distinct permutations of the |mu_i| with every sign pattern
+    on the nonzero coordinates; in type D with no zero coordinate, only the
+    patterns whose number of minus signs has the parity of dom's."""
+    mags = tuple(map(abs, dom))
+    parity = (dom[-1] < 0) if type_d and mags[-1] else None
+    for perm in _distinct_permutations(mags):
+        for key in product(*[(d, -d) if d else (0,) for d in perm]):
+            if parity is None or (sum(1 for d in key if d < 0) % 2 == 1) == parity:
+                yield key
+
+
+def _distinct_permutations(values: tuple):
+    counts = Counter(values)
+    n = len(values)
+    prefix: list = []
+
+    def extend():
+        if len(prefix) == n:
+            yield tuple(prefix)
+            return
+        for v in counts:
+            if counts[v]:
+                counts[v] -= 1
+                prefix.append(v)
+                yield from extend()
+                prefix.pop()
+                counts[v] += 1
+
+    return extend()
+
+
 _char_cache: dict[tuple, GAElem] = {}
 
 
 def weyl_character(rs: RootSystem, lam: Weight) -> GAElem:
-    """Character of the simple module with highest weight lam, by exact
-    division of alternants."""
+    """Character of the simple module with highest weight lam: the
+    Freudenthal multiplicities of :func:`dominant_multiplicities`, each
+    written onto the distinct images of its dominant weight.  Nothing is
+    divided and the Weyl group is never enumerated, so any rank works; the
+    alternant quotient ``divide_by_denominator(alternant(rs, lam + rho),
+    rs)`` is the oracle it must equal."""
     key = (rs.lie_type, rs.rank, lam.dbl)
     cached = _char_cache.get(key)
     if cached is not None:
         return cached
     rs.check_highest_weight(lam)
-    num = alternant(rs, lam + rs.rho)
-    chi = divide_by_denominator(num, rs)
+    type_d = rs.lie_type is LieType.D
+    terms: dict[tuple, QLaurent] = {}
+    for mu, m in dominant_multiplicities(rs, lam).items():
+        c = QLaurent({0: m})
+        for image in _orbit(mu, type_d):
+            terms[image] = c
+    chi = GAElem(rs.rank, terms)
     _char_cache[key] = chi
     return chi
 

@@ -38,10 +38,10 @@ from .chars import (
     GAElem,
     alternant,
     antisymmetrize,
+    character_by_division,
     enumerate_weyl,
     is_w_invariant,
     straighten,
-    weyl_character,
     weyl_denominator,
 )
 from .ebasis import (
@@ -388,10 +388,10 @@ def jt_cases(systems) -> list[dict]:
             try:
                 jt = jt_character(rs, parts, target="ga")
                 lam = partition_to_weight(rs, parts)
-                chi = weyl_character(rs, lam)
+                chi = character_by_division(rs, lam)
                 if rs.lie_type is LieType.D and len(parts) == n:
                     mirror = Weight(lam.dbl[:-1] + (-lam.dbl[-1],))
-                    chi = chi + weyl_character(rs, mirror)
+                    chi = chi + character_by_division(rs, mirror)
                 ok, detail = jt == chi, ""
             except HalvingFailed as exc:
                 ok, detail = False, f"halving failed: {exc}"
@@ -446,10 +446,14 @@ def certificate_cases(systems) -> list[dict]:
     return out
 
 
-def stability_cases(max_rank: int | None = None) -> list[dict]:
-    """Normalized constituent lists agree across all in-scope ranks."""
+def stability_cases(
+    max_rank: int | None = None, lie: LieType | None = None
+) -> list[dict]:
+    """Normalized constituent lists agree across all in-scope ranks (up to
+    ``max_rank``), for the type ``lie`` or for all three."""
     out = []
-    for lie in (LieType.B, LieType.C, LieType.D):
+    types = (LieType.B, LieType.C, LieType.D) if lie is None else (lie,)
+    for lie in types:
         ranks = [n for t, n in IN_SCOPE if t is lie]
         if max_rank is not None:
             ranks = [n for n in ranks if n <= max_rank]
@@ -630,6 +634,10 @@ def run_suite(
         raise ValueError(
             f"suite {suite} covers type {suite_type.value}, not {lie.value}"
         )
+    if suite == "stability" and rank is not None:
+        raise ValueError(
+            "suite stability compares ranks; bound them with --max-rank, not --rank"
+        )
     cases: list[dict] = []
     if suite in ("all", "denominator"):
         cases.extend(denominator_cases(in_scope_systems(lie, rank)))
@@ -651,8 +659,8 @@ def run_suite(
         systems = in_scope_systems(lie, rank)
         cases.extend(basis_cases(systems))
         cases.extend(certificate_cases(systems))
-    if suite in ("all", "stability"):
-        cases.extend(stability_cases(max_rank))
+    if suite == "stability" or (suite == "all" and rank is None):
+        cases.extend(stability_cases(max_rank, lie))
     if suite == "all":
         cases.extend(property_cases(seed))
     if not cases:

@@ -348,6 +348,15 @@ class TestTorusImages:
         for rs in SMALL:
             assert hc_value(rs, 1, 1, [1] * rs.rank) == 0
 
+    def test_classical_limit_from_s_minus_one(self):
+        # s = -1 is q = 1 as well; the specialized combination at the
+        # all-ones point has even v exponents only, so the (v + 1) factors
+        # cancel like the (v - 1) factors and both sides give one value
+        for rs in SMALL:
+            for ell in range(1, rs.rank + 1):
+                ones = [1] * rs.rank
+                assert hc_value(rs, ell, -1, ones) == hc_value(rs, ell, 1, ones)
+
 
 class TestEigenvalues:
     def test_order_zero_is_quantum_dimension(self):
@@ -412,6 +421,22 @@ class TestEigenvalues:
                 expected = 2 * pairing(lam, lam + rs.rho.scale(2))
                 assert eigenvalue_via_hc(rs, lam, 2, 1) == expected
                 assert eigenvalue_via_hc(rs, lam, 1, 1) == 0
+
+    def test_classical_limit_at_s_minus_one(self):
+        # integral weights give even v exponents, so s = -1 is the same
+        # classical limit as s = 1
+        for rs, weights in self.CLASSICAL:
+            for dbl in weights:
+                lam = Weight(dbl)
+                if not lam.is_integral():
+                    continue
+                for ell in (1, 2, 3):
+                    assert eigenvalue_via_hc(rs, lam, ell, -1) == eigenvalue_via_hc(
+                        rs, lam, ell, 1
+                    )
+                assert eigenvalue_via_hc(rs, lam, 2, -1) == 2 * pairing(
+                    lam, lam + rs.rho.scale(2)
+                )
 
     def test_structural_degeneracies_raise(self):
         with pytest.raises(DegenerateEvaluation):

@@ -12,10 +12,13 @@ from qcasimir.chars import (
     SignedPerm,
     alternant,
     antisymmetrize,
+    character_by_division,
     coset_representatives,
     divide_by_denominator,
+    dominant_multiplicities,
     enumerate_weyl,
     ext_power_char,
+    is_w_invariant,
     natural_character,
     simple_reflections,
     straighten,
@@ -488,6 +491,64 @@ class TestWeylCharacter:
     def test_coefficients_constant_in_q(self):
         for lam in _integral_dominant(C3, 2):
             assert weyl_character(C3, lam).is_constant_in_q()
+
+
+def _dominant_grid(rs, bound):
+    """Every highest weight with coordinates at most ``bound``: the integral
+    grid, the spin grid (types B and D) and, in type D, both signs of the
+    last coordinate."""
+    from itertools import product as iproduct
+
+    out = []
+    for offset in (0, 1):
+        for coords in iproduct(range(2 * bound - offset, -1, -2), repeat=rs.rank):
+            signs = (1, -1) if rs.lie_type is LieType.D and coords[-1] else (1,)
+            for sign in signs:
+                lam = Weight(coords[:-1] + (sign * coords[-1],))
+                if rs.is_dominant(lam) and rs.is_on_weight_lattice(lam):
+                    out.append(lam)
+    return out
+
+
+class TestFreudenthal:
+    @pytest.mark.parametrize("rs", [B2, B3, C3, D4], ids=lambda r: f"{r.lie_type.value}{r.rank}")
+    def test_equals_alternant_division(self, rs):
+        grid = _dominant_grid(rs, 3)
+        assert any(not lam.is_integral() for lam in grid) == (rs.lie_type is not LieType.C)
+        if rs.lie_type is LieType.D:
+            assert any(lam.dbl[-1] < 0 for lam in grid)
+        for lam in grid:
+            assert weyl_character(rs, lam) == character_by_division(rs, lam), lam
+
+    def test_known_multiplicities(self):
+        # B2 adjoint (1,1): the short weights once, the zero weight twice
+        assert dominant_multiplicities(B2, Weight((2, 2))) == {
+            (2, 2): 1, (2, 0): 1, (0, 0): 2
+        }
+        # C3 with lam = 2 eps_1 (adjoint): zero weight of multiplicity 3
+        assert dominant_multiplicities(C3, Weight((4, 0, 0))) == {
+            (4, 0, 0): 1, (2, 2, 0): 1, (0, 0, 0): 3
+        }
+        # D4 half-spin: one dominant weight, the highest
+        assert dominant_multiplicities(D4, Weight((1, 1, 1, -1))) == {(1, 1, 1, -1): 1}
+
+    PAST_GUARD = (
+        (LieType.B, 8, ((2,) + (0,) * 7, (2, 2, 2) + (0,) * 5, (1,) * 8)),
+        (LieType.C, 8, ((2,) + (0,) * 7, (2, 2, 2) + (0,) * 5, (2, 2) + (0,) * 6)),
+        (LieType.D, 8, ((2,) + (0,) * 7, (2, 2, 2) + (0,) * 5, (1,) * 7 + (-1,))),
+        (LieType.B, 9, ((2,) + (0,) * 8, (2, 2, 2) + (0,) * 6, (1,) * 9)),
+    )
+
+    @pytest.mark.parametrize("lie,n,weights", PAST_GUARD, ids=("B8", "C8", "D8", "B9"))
+    def test_past_the_enumeration_guard(self, lie, n, weights):
+        rs = build_root_system(lie, n)
+        with pytest.raises(RankTooLargeForEnumeration):
+            enumerate_weyl(rs)
+        for dbl in weights:
+            lam = Weight(dbl)
+            chi = weyl_character(rs, lam)
+            assert chi.evaluate(1, [1] * n) == weyl_dimension(rs, lam)
+            assert is_w_invariant(chi, rs)
 
 
 class TestExtPowers:

@@ -305,3 +305,45 @@ def test_verify_selection_without_cases_is_usage_error(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "stability", "--type", "B"),
+        ("--suite", "all", "--type", "C", "--points", "1"),
+    ],
+    ids=("stability", "all"),
+)
+def test_verify_stability_honours_type(capsys, argv):
+    lie = argv[argv.index("--type") + 1]
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    ids = [c["id"] for c in json.loads(out)["cases"] if c["id"].startswith("stability-")]
+    assert ids == [f"stability-{lie}-k{k}" for k in range(1, 5)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "stability", "--type", "B", "--rank", "2"),
+        ("--suite", "stability", "--rank", "3", "--max-rank", "4"),
+    ],
+    ids=("type-and-rank", "rank-and-max-rank"),
+)
+def test_verify_stability_rejects_rank(capsys, argv):
+    # the suite compares ranks; --max-rank bounds them, --rank cannot apply
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert "--max-rank" in err
+
+
+def test_verify_all_with_rank_leaves_out_stability(capsys):
+    # a single rank has nothing to compare across ranks
+    code, out, _ = run(
+        capsys, "verify", "--suite", "all", "--type", "B", "--rank", "2", "--points", "1"
+    )
+    assert code == 0
+    ids = [c["id"] for c in json.loads(out)["cases"]]
+    assert ids and not any(i.startswith("stability-") for i in ids)
