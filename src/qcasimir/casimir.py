@@ -27,7 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
+from operator import mul
 from typing import Sequence
 
 from .chars import (
@@ -36,7 +38,7 @@ from .chars import (
     straighten,
     weyl_character,
 )
-from .exact import Coeff, NotDivisible, QLaurent
+from .exact import Coeff, NotDivisible, QLaurent, _clean
 from .roots import (
     LieType,
     RootSystem,
@@ -132,13 +134,15 @@ def ch_g_via_antisym(rs: RootSystem, k: int) -> CasimirImage:
     key = (rs.lie_type, rs.rank, k, "antisym")
     body = _chg_cache.get(key)
     if body is None:
-        terms: dict[tuple, QLaurent] = {}
+        terms: dict[tuple, Coeff] = {}
         for nu, c in chamber_form(rs, k).items():
             chi = weyl_character(rs, Weight(nu) - rs.rho)
-            for w, x in chi.terms.items():
-                prev = terms.get(w)
-                terms[w] = x * c if prev is None else prev + x * c
-        body = GAElem(rs.rank, terms)
+            qs = list(c.terms.items())
+            for w, m in chi.terms.items():  # q lane 0: w[:-1] is the weight
+                for e, x in qs:
+                    t = w[:-1] + e
+                    terms[t] = terms.get(t, 0) + m * x
+        body = GAElem._flat(rs.rank, _clean(terms))
         _chg_cache[key] = body
     return CasimirImage(rs.lie_type, rs.rank, k, body, "prop4_3")
 
@@ -246,6 +250,7 @@ def hc_combination(rs: RootSystem, ell: int) -> GAElem:
     return body
 
 
+@lru_cache(maxsize=None)
 def hc_denominator(ell: int) -> QLaurent:
     """(q^{-1} - q)^ell."""
     return QLaurent({-4: 1, 4: -1}) ** ell
@@ -278,7 +283,7 @@ def hc_divisibility_failures(rs: RootSystem, ell: int) -> list[tuple]:
     combination by (q^{-1} - q)^ell; return the weights where it fails."""
     den = hc_denominator(ell)
     bad = []
-    for w, c in hc_combination(rs, ell).terms.items():
+    for w, c in hc_combination(rs, ell)._per_weight().items():
         try:
             c.div_exact(den)
         except NotDivisible:
@@ -292,12 +297,16 @@ def hc_at_weight(rs: RootSystem, ell: int, lam: Weight) -> QLaurent:
     simple module of highest weight lam, as a Laurent polynomial in q."""
     rs.check_highest_weight(lam)
     lam_rho = (lam + rs.rho).dbl
+    shifts: dict[tuple, int] = {}
     num: dict[int, Coeff] = {}
-    for w, c in hc_combination(rs, ell).terms.items():
-        # 4 (quarter units) * 2 (lam+rho, w/2) on doubled coordinates
-        shift = 2 * sum(d * x for d, x in zip(lam_rho, w))
-        for e, x in c.terms.items():
-            num[e + shift] = num.get(e + shift, 0) + x
+    for key, c in hc_combination(rs, ell).terms.items():
+        w = key[:-1]
+        shift = shifts.get(w)
+        if shift is None:
+            # 4 (quarter units) * 2 (lam+rho, w/2) on doubled coordinates
+            shift = shifts[w] = 2 * sum(map(mul, lam_rho, w))
+        e = key[-1] + shift
+        num[e] = num.get(e, 0) + c
     return QLaurent(num)
 
 

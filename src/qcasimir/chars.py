@@ -25,10 +25,14 @@ the independent oracle that the tests and acceptance criterion 8 compare
 against.
 
 :class:`GAElem` is a finite formal sum of exponentials e^mu with q-Laurent
-coefficients, keyed by the doubled coordinates of mu.  It is the Laurent
-ring :class:`~qcasimir.exact.EPoly` with E_i read as e^(eps_i/2), and takes
-its ring arithmetic, packed products and leading-term division from there;
-this module adds only what depends on weights.  The Weyl denominator is
+coefficients.  It is the Laurent ring :class:`~qcasimir.exact.EPoly` with
+E_i read as e^(eps_i/2): each term is stored flat, keyed by the doubled
+coordinates of mu followed by the quarter-grid q exponent, with a rational
+coefficient, and the constructor and the per-weight readers present the
+coefficient of e^mu as a :class:`~qcasimir.exact.QLaurent`.  It takes its
+ring arithmetic, packed products and leading-term division from EPoly; this
+module adds only what depends on weights, each weight's work done once for
+all its q terms.  The Weyl denominator is
 Delta = e^rho * prod over positive roots of (1 - e^(-alpha)), and
 :func:`divide_by_denominator` divides by it one binomial factor at a time.
 A binomial e^u - e^v with u > v is divided by summing the numerator down
@@ -58,6 +62,8 @@ from .exact import (
     QLaurent,
     RankMismatch,
     ZeroBase,
+    _clean,
+    _norm_coeff,
 )
 from .roots import (
     LieType,
@@ -208,12 +214,14 @@ def coset_representatives(rs: RootSystem) -> list[SignedPerm]:
 
 
 class GAElem(EPoly):
-    """Finite sum of formal exponentials of weights with QLaurent coefficients.
+    """Finite sum of formal exponentials of weights with q-Laurent
+    coefficients.
 
     The ring is :class:`EPoly` with E_i read as e^(eps_i/2): ``terms`` maps
-    the doubled coordinates of each weight to a nonzero QLaurent value.
-    Immutable; adds the Weyl action, the chain-sum division by binomials and
-    the specialization of the weight variables at a point.
+    the doubled coordinates of each weight, then the quarter-grid q
+    exponent, to a nonzero rational.  Immutable; adds the Weyl action, the
+    chain-sum division by binomials and the specialization of the weight
+    variables at a point.
     """
 
     __slots__ = ()
@@ -230,20 +238,23 @@ class GAElem(EPoly):
     # -- structure ---------------------------------------------------------
 
     def has_integral_support(self) -> bool:
-        return all(all(d % 2 == 0 for d in w) for w in self.terms)
+        return all(all(d % 2 == 0 for d in k[:-1]) for k in self.terms)
 
     def is_constant_in_q(self) -> bool:
-        return all(set(c.terms) <= {0} for c in self.terms.values())
+        return not any(k[-1] for k in self.terms)
 
     def leading(self) -> tuple[tuple, QLaurent]:
         if not self.terms:
             raise ValueError("zero element has no leading term")
-        w = max(self.terms)
-        return w, self.terms[w]
+        by_weight = self._per_weight()
+        w = max(by_weight)
+        return w, by_weight[w]
 
     def shift(self, w: Weight) -> "GAElem":
         """e^w * self, by moving every key."""
-        d = w.dbl
+        if len(w.dbl) != self.rank:
+            raise RankMismatch("weight rank differs from element rank")
+        d = w.dbl + (0,)
         return self._like({tuple(map(add, k, d)): c for k, c in self.terms.items()})
 
     # -- Weyl action -------------------------------------------------------
@@ -251,13 +262,17 @@ class GAElem(EPoly):
     def act(self, w: SignedPerm) -> "GAElem":
         if len(w.perm) != self.rank:
             raise RankMismatch("ranks differ")
+        # a bijection of the keys, so no two terms meet
         perm, signs = w.perm, w.signs
-        res: dict[tuple, QLaurent] = {}
+        images: dict[tuple, tuple] = {}
+        res: dict[tuple, Coeff] = {}
         for key, c in self.terms.items():
-            nk = _act_dbl(perm, signs, key)
-            prev = res.get(nk)
-            res[nk] = c if prev is None else prev + c
-        return GAElem(self.rank, res)
+            weight = key[:-1]
+            image = images.get(weight)
+            if image is None:
+                image = images[weight] = _act_dbl(perm, signs, weight)
+            res[image + key[-1:]] = c
+        return self._like(res)
 
     # -- exact division ------------------------------------------------------
 
@@ -272,15 +287,16 @@ class GAElem(EPoly):
         if self.terms and len(den.terms) == 2:
             self._check(den)
             u, v = sorted(den.terms, reverse=True)
-            if den.terms[u].terms == {0: 1} and den.terms[v].terms == {0: -1}:
+            if not u[-1] and not v[-1] and den.terms[u] == 1 and den.terms[v] == -1:
                 return self._div_chains(u, v)
         return super().div_exact(den)
 
     def _div_chains(self, u: tuple, v: tuple) -> "GAElem":
         """self / (e^u - e^v) for u > v, by chain sums.
 
-        With d = u - v, self = y * (e^u - e^v) reads y[k-u] = self[k] +
-        y[k-u+d]: down each chain k, k-d, k-2d, ... of numerator keys the
+        ``u`` and ``v`` are flat keys with q lane 0.  With d = u - v, self =
+        y * (e^u - e^v) reads y[k-u] = self[k] + y[k-u+d]: down each chain
+        k, k-d, k-2d, ... of numerator keys (one q exponent each) the
         quotient coefficient at k-u is the running sum of the numerator from
         the top of the chain, so no coefficient is ever divided.  When every
         chain sum returns to zero, y * (e^u - e^v) telescopes to self, so y
@@ -294,21 +310,18 @@ class GAElem(EPoly):
         # (k - u)[i0] >= min(num)[i0] - v[i0]: the box floor, read on k
         floor = min(map(itemgetter(i0), self.terms)) + d[i0]
         num = dict(self.terms)
-        quot: dict[tuple, QLaurent] = {}  # keyed by k until the shift by -u
+        quot: dict[tuple, Coeff] = {}  # keyed by k until the shift by -u
         for top in sorted(num, reverse=True):
-            q = num.pop(top, None)  # None: consumed by a walk from above
+            y = num.pop(top, None)  # None: consumed by a walk from above
             k = top
-            while q is not None:
+            while y is not None:
                 if k[i0] < floor:
                     raise NotDivisible("nonzero remainder in alternant division")
-                quot[k] = q
+                quot[k] = y
                 k = tuple(map(sub, k, d))
                 c = num.pop(k, None)
                 if c is not None:
-                    acc = dict(q.terms)
-                    for e, x in c.terms.items():
-                        acc[e] = acc.get(e, 0) + x
-                    q = QLaurent(acc) or None  # drops zeros, via _norm_coeff
+                    y = _norm_coeff(y + c) or None
         if any(u):
             quot = {tuple(map(sub, k, u)): c for k, c in quot.items()}
         return self._like(quot)
@@ -321,7 +334,8 @@ class GAElem(EPoly):
 
         The point gives the values of the half exponentials, so spin weights
         specialize exactly; integral weights only ever use the squares.  Each
-        power of a point coordinate is computed once.
+        power of a point coordinate, and the value of each weight, is computed
+        once.
         """
         if len(half_point) != self.rank:
             raise GridMismatch("point length differs from rank")
@@ -329,17 +343,21 @@ class GAElem(EPoly):
         if any(x == 0 for x in pt):
             raise ZeroBase("zero entry in evaluation point")
         powers: list[dict[int, Fraction]] = [{} for _ in range(self.rank)]
+        values: dict[tuple, Coeff] = {}
         acc: dict[int, Coeff] = {}
         for key, c in self.terms.items():
-            scalar = 1
-            for i, d in enumerate(key):
-                if d:
-                    p = powers[i].get(d)
-                    if p is None:
-                        p = powers[i][d] = pt[i] ** d
-                    scalar *= p
-            for e, x in c.terms.items():
-                acc[e] = acc.get(e, 0) + x * scalar
+            w, e = key[:-1], key[-1]
+            scalar = values.get(w)
+            if scalar is None:
+                scalar = 1
+                for i, d in enumerate(w):
+                    if d:
+                        p = powers[i].get(d)
+                        if p is None:
+                            p = powers[i][d] = pt[i] ** d
+                        scalar *= p
+                values[w] = scalar
+            acc[e] = acc.get(e, 0) + c * scalar
         return QLaurent(acc)
 
     def evaluate(self, s: Coeff, half_point: Sequence[Coeff]) -> Fraction:
@@ -353,8 +371,8 @@ class GAElem(EPoly):
         if not self.terms:
             return "0"
         parts = []
-        for w in sorted(self.terms, reverse=True):
-            c = str(self.terms[w])
+        for w, c in sorted(self._per_weight().items(), reverse=True):
+            c = str(c)
             if " " in c:
                 c = f"({c})"
             if any(w):
@@ -405,21 +423,23 @@ def straighten(x: GAElem, rs: RootSystem) -> dict[tuple, QLaurent]:
     n = rs.rank
     type_d = rs.lie_type is LieType.D
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    res: dict[tuple, QLaurent] = {}
+    moves: dict[tuple, tuple | None] = {}  # weight -> (dominant, odd) or None
+    res: dict[tuple, Coeff] = {}
     for key, c in x.terms.items():
-        mags = tuple(map(abs, key))
-        if len(set(mags)) < n or (not type_d and 0 in mags):
-            continue
-        dom, flips = _to_dominant(mags, key, type_d)
-        odd = sum(1 for i, j in pairs if mags[i] < mags[j]) + (0 if type_d else flips)
-        signed = -c if odd % 2 else c
-        prev = res.get(dom)
-        nc = signed if prev is None else prev + signed
-        if nc:
-            res[dom] = nc
-        elif dom in res:
-            del res[dom]
-    return res
+        w = key[:-1]
+        if w not in moves:
+            mags = tuple(map(abs, w))
+            if len(set(mags)) < n or (not type_d and 0 in mags):
+                moves[w] = None
+            else:
+                dom, flips = _to_dominant(mags, w, type_d)
+                odd = sum(1 for i, j in pairs if mags[i] < mags[j])
+                moves[w] = dom, (odd + (0 if type_d else flips)) % 2
+        move = moves[w]
+        if move is not None:
+            k = move[0] + key[-1:]
+            res[k] = res.get(k, 0) + (-c if move[1] else c)
+    return x._like(_clean(res))._per_weight()
 
 
 @lru_cache(maxsize=None)
@@ -445,12 +465,15 @@ def _orbit_expand(chamber: dict[tuple, QLaurent], rs: RootSystem) -> dict:
     no coefficient added.
     """
     getters = _orbit_getters(rs.lie_type, rs.rank)
-    res: dict[tuple, QLaurent] = {}
+    res: dict[tuple, Coeff] = {}
     for key, c in chamber.items():
-        neg = -c
+        pos = list(c.terms.items())
+        neg = [(e, -x) for e, x in pos]
         ext = key + tuple(-d for d in key)
         for gather, sign in getters:
-            res[gather(ext)] = c if sign > 0 else neg
+            image = gather(ext)
+            for e, x in pos if sign > 0 else neg:
+                res[image + e] = x
     return res
 
 
@@ -638,12 +661,11 @@ def weyl_character(rs: RootSystem, lam: Weight) -> GAElem:
         return cached
     rs.check_highest_weight(lam)
     type_d = rs.lie_type is LieType.D
-    terms: dict[tuple, QLaurent] = {}
+    terms: dict[tuple, int] = {}
     for mu, m in dominant_multiplicities(rs, lam).items():
-        c = QLaurent({0: m})
         for image in _orbit(mu, type_d):
-            terms[image] = c
-    chi = GAElem(rs.rank, terms)
+            terms[image + (0,)] = m
+    chi = GAElem._flat(rs.rank, terms)
     _char_cache[key] = chi
     return chi
 

@@ -62,7 +62,7 @@ def _ql_latex(c: QLaurent) -> str:
     if not c.terms:
         return "0"
     parts = []
-    for e, v in sorted(c.terms.items()):
+    for (e,), v in sorted(c.terms.items()):
         coeff = "" if v == 1 and e != 0 else ("-" if v == -1 and e != 0 else str(v))
         if e == 0:
             parts.append(str(v))
@@ -87,8 +87,8 @@ def _ga_latex(x: GAElem) -> str:
     if not x.terms:
         return "0"
     parts = []
-    for key in sorted(x.terms):
-        c = _ql_latex(x.terms[key])
+    for key, c in sorted(x._per_weight().items()):
+        c = _ql_latex(c)
         if " " in c:
             c = f"\\left({c}\\right)"
         mono = "e^{" + _weight_latex(Weight(key)) + "}" if any(key) else ""
@@ -228,7 +228,7 @@ def cmd_solve_basis(args) -> int:
     }
     lines = [
         f"E{e.k} = ({e.c_unit:+d}/({e.c_denom})) G{e.k} + "
-        f"(lower terms; {len(e.num.terms)} numerator terms over denominator {e.den})"
+        f"(lower terms; {len(e.num._per_weight())} numerator terms over denominator {e.den})"
         for e in sol.entries
     ]
     text = "\n".join(

@@ -23,6 +23,7 @@ E_k = num(G_1..G_k)/den, and all verifications multiply back by den.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .casimir import ch_g_via_antisym, hook_terms
 from .chars import GAElem, ext_power_char, weyl_character
@@ -67,22 +68,17 @@ class EBasisExpr:
     foldings: tuple[tuple[int, int], ...] = ()
 
 
-def _halve_ql(c: QLaurent, context: str) -> QLaurent:
+def _halve(x: EPoly, context: str) -> EPoly:
     out = {}
-    for e, v in c.terms.items():
-        num = v if isinstance(v, int) else None
-        if num is None:
+    for k, v in x.terms.items():
+        if isinstance(v, Fraction):
             if v.denominator != 1:
                 raise HalvingFailed(f"non-integer coefficient in {context}")
-            num = v.numerator
-        if num % 2:
-            raise HalvingFailed(f"odd coefficient {num} in {context}")
-        out[e] = num // 2
-    return QLaurent(out)
-
-
-def _halve(x: EPoly, context: str) -> EPoly:
-    return type(x)(x.rank, {m: _halve_ql(c, context) for m, c in x.terms.items()})
+            v = v.numerator
+        if v % 2:
+            raise HalvingFailed(f"odd coefficient {v} in {context}")
+        out[k] = v // 2
+    return x._like(out)
 
 
 class _ESymbols:
@@ -295,7 +291,7 @@ def triangular_solve(rs: RootSystem) -> TriangularSolution:
             common = common * solved_den[j - 1] ** degs[j - 1]
         # rest with E_j := solved_num_j / solved_den_j, cleared by `common`
         cleared = EPoly.zero(n)
-        for mono, coeff in rest.terms.items():
+        for mono, coeff in rest._per_weight().items():
             term = EPoly.one(n)
             scalar = coeff
             for j in range(1, k):

@@ -1,26 +1,31 @@
-"""Exact arithmetic foundations: the q-Laurent ring and the n-variable
-Laurent ring over it.
+"""Exact arithmetic foundations: one sparse Laurent ring over the rationals,
+in n variables and q.
 
 All scalar arithmetic in this package is exact.  Rational numbers are
 ``fractions.Fraction`` (plain ``int`` is accepted wherever a rational is,
-as a fast path).  The central object is :class:`QLaurent`, a sparse Laurent
-polynomial in an internal variable ``v = q^(1/4)``: exponents are stored in
-quarter units, so every pairing of weights that occurs in types B, C, D
-(including spin weights, whose pairings land in (1/4)Z) stays on the grid.
+as a fast path).
 
-:class:`EPoly` is the one sparse Laurent polynomial ring in n variables
-``E1..En`` with :class:`QLaurent` coefficients.  On its own it expresses
-characters "in the exterior-power basis"; ``chars.GAElem`` is the same ring
-with E_i read as e^(eps_i/2), the group algebra of the weight lattice keyed
-by doubled coordinates.  Products and leading-term division run on packed
-integer keys whose lane widths are sized from the operands.
+:class:`EPoly` is the one ring.  Every term is stored flat: ``terms`` maps a
+key of n + 1 ints to a nonzero rational.  The first n entries are the
+exponents of the variables ``E1..En``; the last is the exponent of the
+internal variable ``v = q^(1/4)``, so q exponents are stored in quarter
+units and every pairing of weights that occurs in types B, C, D (spin
+weights included, whose pairings land in (1/4)Z) stays on the grid.  On its
+own the ring expresses characters "in the exterior-power basis";
+``chars.GAElem`` is the same ring with E_i read as e^(eps_i/2), the group
+algebra of the weight lattice keyed by doubled coordinates.
+:class:`QLaurent`, a Laurent polynomial in q alone, is the rank-0 case: its
+keys are ``(e,)``.  The constructors and the per-monomial readers
+(``coeff``, ``to_json``, ``format``) present the coefficient of each
+monomial in the E_i as a :class:`QLaurent`.
 
-Exact division is single-variable leading-term elimination for
-:class:`QLaurent` and box-bounded lexicographic elimination for
-:class:`EPoly`; both either return an exact quotient or raise
-:class:`NotDivisible`.  Determinants over any of these rings are computed by
-cofactor expansion (default at the sizes used here) or by fraction-free
-Bareiss elimination, which serve as cross-checks of one another.
+Products and leading-term division run on packed integer keys, the q lane
+last, whose lane widths are sized from the operands.  Exact division is
+box-bounded lexicographic leading-term elimination: it either returns the
+exact quotient or raises :class:`NotDivisible`.  Determinants over these
+rings are computed by cofactor expansion (default at the sizes used here)
+or by fraction-free Bareiss elimination, which serve as cross-checks of one
+another.
 """
 
 from __future__ import annotations
@@ -49,6 +54,10 @@ class ZeroBase(ExactArithmeticError):
     """Evaluation point has a zero entry where an inverse is needed."""
 
 
+class RankMismatch(ValueError):
+    pass
+
+
 def _norm_coeff(c: Coeff) -> Coeff:
     # Collapse Fraction with denominator 1 to int so hot loops stay on ints.
     if type(c) is Fraction and c.denominator == 1:
@@ -56,235 +65,18 @@ def _norm_coeff(c: Coeff) -> Coeff:
     return c
 
 
-class QLaurent:
-    """Sparse Laurent polynomial in q with exponents on the quarter grid.
-
-    ``terms`` maps the exponent of ``v = q^(1/4)`` (an int) to a nonzero
-    rational coefficient.  The zero polynomial has an empty map.  Instances
-    are immutable; all operations return new objects.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[int, Coeff] | None = None):
-        if terms:
-            self.terms = {e: _norm_coeff(c) for e, c in terms.items() if c}
-        else:
-            self.terms = {}
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero() -> "QLaurent":
-        return QLaurent()
-
-    @staticmethod
-    def one() -> "QLaurent":
-        return QLaurent({0: 1})
-
-    @staticmethod
-    def rational(c: Coeff) -> "QLaurent":
-        return QLaurent({0: c})
-
-    @staticmethod
-    def monomial(quarter_exp: int, coeff: Coeff = 1) -> "QLaurent":
-        return QLaurent({quarter_exp: coeff})
-
-    @staticmethod
-    def q_power(power, coeff: Coeff = 1) -> "QLaurent":
-        """q**power with power in units of q; power may be int or Fraction
-        with denominator dividing 4."""
-        quarter = Fraction(power) * 4
-        if quarter.denominator != 1:
-            raise ValueError(f"exponent {power} not on the quarter grid")
-        return QLaurent({quarter.numerator: coeff})
-
-    # -- ring structure ------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, QLaurent):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == QLaurent.rational(other).terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "QLaurent") -> "QLaurent":
-        if not isinstance(other, QLaurent):
-            return NotImplemented
-        res = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = res.get(e, 0) + c
-            if nc:
-                res[e] = nc
-            elif e in res:
-                del res[e]
-        out = QLaurent.__new__(QLaurent)
-        out.terms = res
-        return out
-
-    def __neg__(self) -> "QLaurent":
-        out = QLaurent.__new__(QLaurent)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "QLaurent") -> "QLaurent":
-        if not isinstance(other, QLaurent):
-            return NotImplemented
-        res = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = res.get(e, 0) - c
-            if nc:
-                res[e] = nc
-            elif e in res:
-                del res[e]
-        out = QLaurent.__new__(QLaurent)
-        out.terms = res
-        return out
-
-    def __mul__(self, other) -> "QLaurent":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return QLaurent()
-            out = QLaurent.__new__(QLaurent)
-            out.terms = {e: _norm_coeff(c * other) for e, c in self.terms.items()}
-            return out
-        if not isinstance(other, QLaurent):
-            return NotImplemented
-        res: dict[int, Coeff] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = ea + eb
-                nc = res.get(e, 0) + ca * cb
-                if nc:
-                    res[e] = nc
-                elif e in res:
-                    del res[e]
-        out = QLaurent.__new__(QLaurent)
-        out.terms = res
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "QLaurent":
-        if n < 0:
-            raise ValueError("negative powers: divide exactly instead")
-        result = QLaurent.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    # -- division and evaluation ----------------------------------------
-
-    def div_exact(self, den: "QLaurent") -> "QLaurent":
-        """Exact quotient self/den; raises NotDivisible if remainder is nonzero.
-
-        Leading-term elimination from the top exponent.  The quotient of
-        Laurent polynomials, when it exists, has top (bottom) exponent equal
-        to the difference of tops (bottoms), which bounds the search and
-        guarantees termination.
-        """
-        if not den.terms:
-            raise DivisionByZero("division by the zero polynomial")
-        if not self.terms:
-            return QLaurent()
-        lead_den = max(den.terms)
-        low_bound = min(self.terms) - min(den.terms)
-        den_lead_coeff = den.terms[lead_den]
-        rem = dict(self.terms)
-        quot: dict[int, Coeff] = {}
-        while rem:
-            lead_rem = max(rem)
-            t = lead_rem - lead_den
-            if t < low_bound:
-                raise NotDivisible("nonzero remainder in q-Laurent division")
-            c = _norm_coeff(Fraction(rem[lead_rem]) / den_lead_coeff)
-            quot[t] = c
-            for e, dc in den.terms.items():
-                k = e + t
-                nc = rem.get(k, 0) - c * dc
-                if nc:
-                    rem[k] = nc
-                elif k in rem:
-                    del rem[k]
-        return QLaurent(quot)
-
-    def evaluate(self, s: Coeff) -> Fraction:
-        """Exact value with q^(1/4) := s, i.e. q := s**4."""
-        s = Fraction(s)
-        if s == 0:
-            raise ZeroBase("evaluation at q^(1/4) = 0")
-        total = Fraction(0)
-        powers: dict[int, Fraction] = {}
-        for e, c in self.terms.items():
-            p = powers.get(e)
-            if p is None:
-                p = powers[e] = s**e
-            total += c * p
-        return total
-
-    # -- inspection / serialization --------------------------------------
-
-    def to_json(self) -> list:
-        return [
-            {"e": e, "c": str(Fraction(c))} for e, c in sorted(self.terms.items())
-        ]
-
-    @staticmethod
-    def from_json(data: Iterable[Mapping]) -> "QLaurent":
-        return QLaurent({int(t["e"]): Fraction(t["c"]) for t in data})
-
-    def __repr__(self) -> str:
-        return f"QLaurent({self})"
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in sorted(self.terms.items(), reverse=True):
-            if e == 0:
-                parts.append(str(c))
-                continue
-            if c == 1:
-                mon = ""
-            elif c == -1:
-                mon = "-"
-            else:
-                mon = f"{c}*"
-            if e % 4 == 0:
-                exp = str(e // 4)
-            else:
-                exp = f"{Fraction(e, 4)}"
-            parts.append(f"{mon}q^{exp}" if exp != "1" else f"{mon}q")
-        return " + ".join(parts).replace("+ -", "- ")
+def _clean(terms: Mapping[tuple, Coeff]) -> dict[tuple, Coeff]:
+    """Accumulated flat terms with the zeros dropped and integral Fractions
+    made ints."""
+    return {k: _norm_coeff(c) for k, c in terms.items() if c}
 
 
-QL_ZERO = QLaurent.zero()
-QL_ONE = QLaurent.one()
-
-
-class RankMismatch(ValueError):
-    pass
-
-
-# Products and leading-term division pack an exponent tuple into one int,
-# coordinate 0 in the most significant lane, each lane offset by half its
-# range.  Packed ints then compare exactly like tuples under lex order, and
-# key addition is a single int add (minus the offset constant).  Each caller
-# sizes the lanes from a bound on every coordinate it will form, so no lane
-# can wrap into its neighbour.
+# Products and leading-term division pack a flat key into one int, lane 0 in
+# the most significant position and the q lane last, each lane offset by
+# half its range.  Packed ints then compare exactly like tuples under lex
+# order, and key addition is a single int add (minus the offset constant).
+# Each caller sizes the lanes from a bound on every entry it will form, so
+# no lane can wrap into its neighbour.
 
 
 def _max_coord(terms: Mapping[tuple, object]) -> int:
@@ -314,13 +106,31 @@ def _unpack(packed: int, n: int, bits: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class EPoly:
-    """Sparse Laurent polynomial in E_1..E_n over the q-Laurent ring.
+def _product(a: dict, b: dict, lanes: int) -> dict:
+    """The product of two flat term maps whose keys have ``lanes`` entries."""
+    if len(a) > len(b):
+        a, b = b, a
+    bits = _lane_bits(_max_coord(a) + _max_coord(b))
+    off = _pack((0,) * lanes, bits)
+    b_items = [(_pack(k, bits), c) for k, c in b.items()]
+    res: dict[int, Coeff] = {}
+    for ka, ca in a.items():
+        ka = _pack(ka, bits) - off
+        for kb, cb in b_items:
+            k = ka + kb
+            res[k] = res.get(k, 0) + ca * cb
+    return {_unpack(k, lanes, bits): _norm_coeff(c) for k, c in res.items() if c}
 
-    ``terms`` maps exponent tuples (len == rank, entries of any sign) to
-    nonzero QLaurent coefficients.  Immutable; every operation returns an
-    instance of its operand's class, and only instances of the same class
-    and rank combine or compare equal.
+
+class EPoly:
+    """Sparse Laurent polynomial in E_1..E_n and q over the rationals.
+
+    ``terms`` maps flat keys (the n exponents of the E_i, then the
+    quarter-grid exponent of q) to nonzero rationals.  The constructor takes
+    the per-monomial form ``{exponents: QLaurent}``, every key of length
+    n == rank (else :class:`RankMismatch`).  Immutable; every operation
+    returns an instance of its operand's class, and only instances of the
+    same class and rank combine or compare equal.
     """
 
     __slots__ = ("rank", "terms")
@@ -328,16 +138,23 @@ class EPoly:
 
     def __init__(self, rank: int, terms: Mapping[tuple, QLaurent] | None = None):
         self.rank = rank
-        if terms:
-            self.terms = {m: c for m, c in terms.items() if c}
-        else:
-            self.terms = {}
+        self.terms = {}
+        for m, c in (terms or {}).items():
+            if len(m) != rank:
+                raise RankMismatch(f"key {m} has {len(m)} entries, rank is {rank}")
+            for e, x in c.terms.items():
+                self.terms[m + e] = x
+
+    @classmethod
+    def _flat(cls, rank: int, terms: dict) -> "EPoly":
+        # ``terms`` is flat and taken as is, zeros already dropped
+        out = object.__new__(cls)
+        out.rank, out.terms = rank, terms
+        return out
 
     def _like(self, terms: dict) -> "EPoly":
-        # same class and rank; ``terms`` is taken as is, zeros already dropped
-        out = object.__new__(type(self))
-        out.rank, out.terms = self.rank, terms
-        return out
+        # same class and rank
+        return self._flat(self.rank, terms)
 
     # -- constructors ---------------------------------------------------
 
@@ -354,13 +171,13 @@ class EPoly:
         return cls.constant(rank, QL_ONE)
 
     @classmethod
-    def symbol(cls, rank: int, i: int, coeff: QLaurent = QL_ONE) -> "EPoly":
-        """The symbol E_i (1-based)."""
+    def symbol(cls, rank: int, i: int, coeff: QLaurent | None = None) -> "EPoly":
+        """The symbol E_i (1-based), times ``coeff`` (default 1)."""
         if not 1 <= i <= rank:
             raise IndexError(f"symbol index {i} out of range 1..{rank}")
         exps = [0] * rank
         exps[i - 1] = 1
-        return cls(rank, {tuple(exps): coeff})
+        return cls(rank, {tuple(exps): QL_ONE if coeff is None else coeff})
 
     # -- ring structure ---------------------------------------------------
 
@@ -390,62 +207,33 @@ class EPoly:
     def __add__(self, other: "EPoly") -> "EPoly":
         self._check(other)
         res = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = res.get(m)
-            nc = c if prev is None else prev + c
+        for k, c in other.terms.items():
+            nc = res.get(k, 0) + c
             if nc:
-                res[m] = nc
-            elif m in res:
-                del res[m]
+                res[k] = nc
+            elif k in res:
+                del res[k]
         return self._like(res)
 
     def __neg__(self) -> "EPoly":
-        return self._like({m: -c for m, c in self.terms.items()})
+        return self._like({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "EPoly") -> "EPoly":
         self._check(other)
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = res.get(m)
-            nc = -c if prev is None else prev - c
-            if nc:
-                res[m] = nc
-            elif m in res:
-                del res[m]
-        return self._like(res)
+        return self + -other
 
     def __mul__(self, other: "EPoly") -> "EPoly":
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
         self._check(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        bits = _lane_bits(_max_coord(a) + _max_coord(b))
-        off = _pack((0,) * self.rank, bits)
-        a_items = [(_pack(m, bits) - off, tuple(c.terms.items())) for m, c in a.items()]
-        b_items = [(_pack(m, bits), tuple(c.terms.items())) for m, c in b.items()]
-        res: dict[int, dict[int, Coeff]] = {}
-        for ma, ca in a_items:
-            for mb, cb in b_items:
-                m = ma + mb
-                acc = res.get(m)
-                if acc is None:
-                    acc = res[m] = {}
-                for ea, va in ca:
-                    for eb, vb in cb:
-                        e = ea + eb
-                        nv = acc.get(e, 0) + va * vb
-                        if nv:
-                            acc[e] = nv
-                        elif e in acc:
-                            del acc[e]
-        return self._like(
-            {_unpack(m, self.rank, bits): QLaurent(d) for m, d in res.items() if d}
-        )
+        return self._like(_product(self.terms, other.terms, self.rank + 1))
+
+    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "EPoly":
         if n < 0:
             raise ValueError("negative power: divide exactly instead")
-        result = self.one(self.rank)
+        result = self._like({(0,) * (self.rank + 1): 1})
         base = self
         while n:
             if n & 1:
@@ -454,13 +242,29 @@ class EPoly:
             n >>= 1
         return result
 
-    def scale(self, c: QLaurent) -> "EPoly":
+    def scale(self, c: Coeff | QLaurent) -> "EPoly":
+        """self times a rational or a QLaurent (which moves the q lane)."""
+        if isinstance(c, QLaurent):
+            res: dict[tuple, Coeff] = {}
+            for (e,), x in c.terms.items():
+                for k, v in self.terms.items():
+                    t = k[:-1] + (k[-1] + e,)
+                    res[t] = res.get(t, 0) + v * x
+            return self._like(_clean(res))
         if not c:
-            return self.zero(self.rank)
-        return type(self)(self.rank, {m: v * c for m, v in self.terms.items()})
+            return self._like({})
+        return self._like({k: _norm_coeff(x * c) for k, x in self.terms.items()})
+
+    def _per_weight(self) -> dict[tuple, QLaurent]:
+        """{exponents: QLaurent}: the flat terms grouped by their monomial in
+        the E_i (by weight, in GAElem)."""
+        groups: dict[tuple, dict] = {}
+        for k, c in self.terms.items():
+            groups.setdefault(k[:-1], {})[k[-1:]] = c
+        return {m: QLaurent._flat(0, d) for m, d in groups.items()}
 
     def coeff(self, exps: tuple) -> QLaurent:
-        return self.terms.get(tuple(exps), QL_ZERO)
+        return self._per_weight().get(tuple(exps), QL_ZERO)
 
     def max_degree(self, i: int) -> int:
         """Largest exponent of symbol E_i (1-based); 0 for the zero poly."""
@@ -473,28 +277,26 @@ class EPoly:
 
     def partial(self, i: int) -> "EPoly":
         """Formal partial derivative with respect to E_i (1-based)."""
-        res: dict[tuple, QLaurent] = {}
         j = i - 1
-        for m, c in self.terms.items():
-            if m[j]:
-                mm = list(m)
-                k = mm[j]
-                mm[j] = k - 1
-                key = tuple(mm)
-                add = c * k
-                prev = res.get(key)
-                res[key] = add if prev is None else prev + add
-        return type(self)(self.rank, res)
+        return self._like(
+            {
+                m[:j] + (m[j] - 1,) + m[i:]: _norm_coeff(c * m[j])
+                for m, c in self.terms.items()
+                if m[j]
+            }
+        )
 
     def substitute(self, values: Sequence, one):
         """Evaluate with E_i := values[i-1] in any ring with +, *, .scale().
 
-        ``one`` must be the multiplicative identity of the target ring.
+        ``one`` must be the multiplicative identity of the target ring.  Each
+        monomial's product of values is formed once, then scaled by its
+        QLaurent coefficient.
         """
         if len(values) != self.rank:
             raise ValueError("need one value per symbol")
         total = None
-        for m, c in self.terms.items():
+        for m, c in self._per_weight().items():
             prod = one
             for v, e in zip(values, m):
                 if e:
@@ -502,7 +304,7 @@ class EPoly:
             prod = prod.scale(c)
             total = prod if total is None else total + prod
         if total is None:
-            return one.scale(QL_ZERO)
+            return one.scale(0)
         return total
 
     # -- exact division ------------------------------------------------------
@@ -510,17 +312,18 @@ class EPoly:
     def div_exact(self, den: "EPoly") -> "EPoly":
         """Exact quotient via lexicographic leading-term elimination.
 
-        The quotient support is confined to the coordinate box
-        [min(num)-min(den), max(num)-max(den)] (per coordinate), and leaving
-        the box, or a coefficient failing to divide, proves the division
-        inexact.  A lazy max-heap of packed keys finds each leading term.
+        The quotient support is confined to the box [min(num)-min(den),
+        max(num)-max(den)] (per lane, the q lane included).  Any nonzero
+        rational divides the leading coefficient, so what proves the
+        division inexact is a quotient term leaving the box.  A lazy
+        max-heap of packed keys finds each leading term.
         """
         self._check(den)
         if not den.terms:
             raise DivisionByZero("division by the zero polynomial")
         if not self.terms:
-            return self.zero(self.rank)
-        n = self.rank
+            return self._like({})
+        n = self.rank + 1
         num_keys = list(self.terms)
         den_keys = list(den.terms)
         lo = tuple(
@@ -538,16 +341,12 @@ class EPoly:
         off = _pack((0,) * n, bits)
         lead = max(den_keys)
         lead_den, lead_den_coeff = _pack(lead, bits), den.terms[lead]
-        den_items = tuple(
-            (_pack(k, bits), tuple(c.terms.items())) for k, c in den.terms.items()
-        )
-        rem: dict[int, dict[int, Coeff]] = {
-            _pack(k, bits): dict(c.terms) for k, c in self.terms.items()
-        }
+        den_items = tuple((_pack(k, bits), c) for k, c in den.terms.items())
+        rem = {_pack(k, bits): c for k, c in self.terms.items()}
         # lazy max-heap of candidate leading keys (negated for heapq)
         heap = [-k for k in rem]
         heapq.heapify(heap)
-        quot: dict[tuple, QLaurent] = {}
+        quot: dict[tuple, Coeff] = {}
         while rem:
             m = -heapq.heappop(heap)
             if m not in rem:
@@ -556,27 +355,17 @@ class EPoly:
             t = _unpack(shift + off, n, bits)
             if any(x < a or x > b for x, a, b in zip(t, lo, hi)):
                 raise NotDivisible("nonzero remainder in polynomial division")
-            try:
-                c = QLaurent(rem[m]).div_exact(lead_den_coeff)
-            except NotDivisible as exc:
-                raise NotDivisible("leading coefficient does not divide") from exc
-            quot[t] = c
-            c_items = tuple(c.terms.items())
+            c = quot[t] = _norm_coeff(Fraction(rem[m]) / lead_den_coeff)
             for dk, dc in den_items:
                 k = shift + dk
-                acc = rem.get(k)
-                if acc is None:
-                    acc = rem[k] = {}
+                prev = rem.get(k)
+                if prev is None:
                     heapq.heappush(heap, -k)
-                for e1, v1 in c_items:
-                    for e2, v2 in dc:
-                        e = e1 + e2
-                        nv = acc.get(e, 0) - v1 * v2
-                        if nv:
-                            acc[e] = nv
-                        elif e in acc:
-                            del acc[e]
-                if not acc:
+                    prev = 0
+                nc = prev - c * dc
+                if nc:
+                    rem[k] = nc
+                else:
                     del rem[k]
         return self._like(quot)
 
@@ -585,7 +374,8 @@ class EPoly:
     def to_json(self) -> list:
         key = self._json_key
         return [
-            {key: list(m), "coeff": self.terms[m].to_json()} for m in sorted(self.terms)
+            {key: list(m), "coeff": c.to_json()}
+            for m, c in sorted(self._per_weight().items())
         ]
 
     @classmethod
@@ -601,7 +391,7 @@ class EPoly:
             return "0"
         names = [f"E{i}" for i in range(1, self.rank + 1)]
         parts = []
-        for m, c in sorted(self.terms.items(), reverse=True):
+        for m, c in sorted(self._per_weight().items(), reverse=True):
             syms = "*".join(
                 n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e
             )
@@ -610,6 +400,110 @@ class EPoly:
                 cs = f"({cs})"
             parts.append(f"{cs}*{syms}" if syms else cs)
         return " + ".join(parts)
+
+
+class QLaurent(EPoly):
+    """Sparse Laurent polynomial in q with exponents on the quarter grid: the
+    rank-0 case of :class:`EPoly`.
+
+    Built from ``{e: c}`` with e the exponent of ``v = q^(1/4)`` (an int);
+    its flat keys are ``(e,)``.  The ring operations are EPoly's; this class
+    adds the constructors in q, evaluation at a value of v, equality with
+    rationals, hashing, and its own text and JSON forms.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, terms: Mapping[int, Coeff] | None = None):
+        self.rank = 0
+        self.terms = {(e,): _norm_coeff(c) for e, c in (terms or {}).items() if c}
+
+    # in this class body because perfbench/tracing.py wraps div_exact through
+    # vars(QLaurent), and EPoly.__mul__ as the layer of polynomial products
+    # only
+    div_exact = EPoly.div_exact
+    __mul__ = EPoly.__mul__
+
+    # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def zero() -> "QLaurent":
+        return QLaurent()
+
+    @staticmethod
+    def one() -> "QLaurent":
+        return QLaurent({0: 1})
+
+    @staticmethod
+    def rational(c: Coeff) -> "QLaurent":
+        return QLaurent({0: c})
+
+    @staticmethod
+    def monomial(quarter_exp: int, coeff: Coeff = 1) -> "QLaurent":
+        return QLaurent({quarter_exp: coeff})
+
+    @staticmethod
+    def q_power(power, coeff: Coeff = 1) -> "QLaurent":
+        """q**power with power in units of q; power may be int or Fraction
+        with denominator dividing 4."""
+        quarter = Fraction(power) * 4
+        if quarter.denominator != 1:
+            raise ValueError(f"exponent {power} not on the quarter grid")
+        return QLaurent({quarter.numerator: coeff})
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            return self.terms == ({(0,): other} if other else {})
+        return super().__eq__(other)
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def evaluate(self, s: Coeff) -> Fraction:
+        """Exact value with q^(1/4) := s, i.e. q := s**4."""
+        s = Fraction(s)
+        if s == 0:
+            raise ZeroBase("evaluation at q^(1/4) = 0")
+        return sum((c * s**e for (e,), c in self.terms.items()), Fraction(0))
+
+    # -- inspection / serialization --------------------------------------
+
+    def to_json(self) -> list:
+        return [
+            {"e": e, "c": str(Fraction(c))} for (e,), c in sorted(self.terms.items())
+        ]
+
+    @staticmethod
+    def from_json(data: Iterable[Mapping]) -> "QLaurent":
+        return QLaurent({int(t["e"]): Fraction(t["c"]) for t in data})
+
+    def __repr__(self) -> str:
+        return f"QLaurent({self})"
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for (e,), c in sorted(self.terms.items(), reverse=True):
+            if e == 0:
+                parts.append(str(c))
+                continue
+            if c == 1:
+                mon = ""
+            elif c == -1:
+                mon = "-"
+            else:
+                mon = f"{c}*"
+            if e % 4 == 0:
+                exp = str(e // 4)
+            else:
+                exp = f"{Fraction(e, 4)}"
+            parts.append(f"{mon}q^{exp}" if exp != "1" else f"{mon}q")
+        return " + ".join(parts).replace("+ -", "- ")
+
+
+QL_ZERO = QLaurent.zero()
+QL_ONE = QLaurent.one()
 
 
 def det_cofactor(rows: Sequence[Sequence]) -> object:

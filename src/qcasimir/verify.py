@@ -265,7 +265,7 @@ def hc_cases(systems) -> list[dict]:
             )
             at_one = {
                 w: QLaurent.rational(c.evaluate(1))
-                for w, c in comb_body.terms.items()
+                for w, c in comb_body._per_weight().items()
             }
             expected = GAElem.zero(rs.rank)
             for a in rs.iprime:

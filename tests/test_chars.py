@@ -26,7 +26,7 @@ from qcasimir.chars import (
     weyl_denominator,
 )
 from qcasimir.casimir import ch_g_via_hooks
-from qcasimir.exact import EPoly, NotDivisible, QLaurent, ZeroBase
+from qcasimir.exact import EPoly, NotDivisible, QLaurent, RankMismatch, ZeroBase
 from qcasimir.roots import (
     LieType,
     NotDominant,
@@ -137,7 +137,7 @@ class TestAntisymmetrizer:
     def test_rho_alternant_b2(self):
         a = alternant(B2, B2.rho)
         assert len(a.terms) == 8
-        assert all(c == ONE or c == -ONE for c in a.terms.values())
+        assert all(c == ONE or c == -ONE for c in a._per_weight().values())
 
     def test_alternating_property(self):
         rng = random.Random(3)
@@ -387,7 +387,7 @@ class TestChainKernel:
         f = GAElem(2, {(4, 0): ONE, (0, 0): -ONE})
         quot = num.div_exact(f)
         assert quot == GAElem(2, {(0, 0): QLaurent({0: Fraction(1, 2)}), (-4, 0): ONE})
-        assert type(quot.terms[(-4, 0)].terms[0]) is int
+        assert type(quot._per_weight()[(-4, 0)].terms[(0,)]) is int
         # a chain through a gap: (e^(8) - e^(-4)) / (e^(4) - e^(0))
         one_dim = GAElem(1, {(8,): ONE, (-4,): -ONE})
         assert one_dim.div_exact(GAElem(1, {(4,): ONE, (0,): -ONE})) == GAElem(
@@ -404,6 +404,42 @@ class TestChainKernel:
                 assert (x * f).div_exact(f) == x
             with pytest.raises(NotDivisible):
                 (x * f + GAElem.one(2)).div_exact(f)
+
+    def test_q_lane_alone_blocks_the_chain_kernel(self):
+        # a q-monomial added at a weight already in the support of x * f,
+        # with an exponent that weight does not carry: the weight support is
+        # unchanged, so only the q lane makes the division inexact
+        rng = random.Random(11)
+        for rank in (1, 2, 3):
+            for shift in (0, 1):
+                for _ in range(10):
+                    x = _rand_grid_elem(rank, rng, shift, "q")
+                    f = _binomial(rank, rng, shift)
+                    by_weight = (x * f)._per_weight()
+                    w = rng.choice(sorted(by_weight))
+                    e = max(e for (e,) in by_weight[w].terms) + 1
+                    y = x * f + GAElem(rank, {w: QLaurent.monomial(e)})
+                    assert set(y._per_weight()) == set(by_weight)
+                    with pytest.raises(NotDivisible):
+                        y.div_exact(f)
+
+    def test_q_lane_alone_blocks_the_general_path(self):
+        # (1 + q) e^0 over (1 + q^2) e^0: one weight on both sides
+        num = GAElem.constant(2, QLaurent({0: 1, 4: 1}))
+        with pytest.raises(NotDivisible):
+            num.div_exact(GAElem.constant(2, QLaurent({0: 1, 8: 1})))
+
+    def test_general_path_round_trip_with_q_coefficients(self):
+        rng = random.Random(12)
+        for rank in (1, 2, 3):
+            f = GAElem(rank, {
+                (2,) * rank: QLaurent({1: 1, -3: Fraction(1, 2)}),
+                (0,) * rank: QLaurent({0: 2, 4: -1, 8: 3}),
+                (-2,) + (0,) * (rank - 1): QLaurent({-2: 1, 6: 1}),
+            })
+            for _ in range(10):
+                x = _rand_grid_elem(rank, rng, 0, "q")
+                assert (x * f).div_exact(f) == x
 
     @pytest.mark.parametrize("rs, ks", [(B2, (1, 2, 3)), (C3, (1, 2, 3)), (D4, (2, 3))],
                              ids=["B2", "C3", "D4"])
@@ -431,13 +467,34 @@ class TestLaneWidth:
     def test_product_beyond_16_bit_coordinates(self, cls, a):
         x = cls(2, {(a, 0): ONE}) * cls(2, {(0, 2): ONE})
         assert type(x) is cls
-        assert x.terms == {(a, 2): ONE}
+        assert x._per_weight() == {(a, 2): ONE}
 
     @pytest.mark.parametrize("cls, a", _LANE_CASES)
     def test_general_division_beyond_16_bit_coordinates(self, cls, a):
         x = cls(2, {(a, 2): QLaurent({1: 2}), (0, -a): ONE})
         f = cls(2, {(a, 0): ONE, (0, 2): ONE, (-a, -a): QLaurent({0: 3})})
         assert (x * f).div_exact(f) == x
+
+
+class TestKeyRank:
+    """A flat key is one entry longer than a weight, so a key or weight of
+    the wrong length raises RankMismatch instead of passing silently."""
+
+    def test_product_with_a_long_key(self):
+        with pytest.raises(RankMismatch):
+            GAElem(2, {(1, 2, 3): ONE}) * GAElem(2, {(2, 0): ONE})
+
+    def test_specialize_with_a_long_key(self):
+        with pytest.raises(RankMismatch):
+            GAElem(2, {(1, 2, 3): ONE}).specialize([2, 3])
+
+    def test_shift_by_a_weight_of_another_rank(self):
+        with pytest.raises(RankMismatch):
+            GAElem(2, {(1, 1): ONE}).shift(Weight((2,)))
+
+    def test_from_json_with_a_long_key(self):
+        with pytest.raises(RankMismatch):
+            EPoly.from_json(2, [{"exps": [1, 2, 3], "coeff": ONE.to_json()}])
 
 
 def _integral_dominant(rs, bound):
@@ -457,12 +514,12 @@ class TestWeylCharacter:
 
     def test_natural_c3(self):
         chi = weyl_character(C3, eps(3, 1))
-        assert len(chi.terms) == 6
+        assert len(chi._per_weight()) == 6
         assert chi.evaluate(1, [1, 1, 1]) == 6
 
     def test_spin_b2(self):
         chi = weyl_character(B2, B2.fundamental_weight(2))
-        assert set(chi.terms) == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+        assert set(chi._per_weight()) == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
         assert chi.evaluate(1, [1, 1]) == 4
 
     def test_rejects_non_dominant(self):

@@ -58,6 +58,20 @@ def _commands() -> list[tuple[str, ...]]:
     cmds.append(("verify", "--suite", "thm44", "--type", "B", "--rank", "2"))
     cmds.append(("verify", "--suite", "torus", "--type", "B", "--rank", "2"))
     cmds.append(("verify", "--suite", "jt", "--type", "C", "--rank", "3"))
+    # C and D bodies whose coefficients carry several powers of q.
+    for t, n, k in (("C", "3", "3"), ("D", "4", "4")):
+        for route in ("antisym", "hooks"):
+            for fmt in FORMATS:
+                cmds.append(
+                    ("gnk", "--type", t, "--rank", n, "--k", k,
+                     "--route", route, "--format", fmt)
+                )
+    for t, n, ell in (("C", "3", "3"), ("D", "4", "2")):
+        for fmt in FORMATS:
+            cmds.append(("hc", "--type", t, "--rank", n, "--ell", ell, "--format", fmt))
+    for t, n in (("C", "3"), ("D", "4")):
+        for fmt in ("json", "text"):
+            cmds.append(("solve-basis", "--type", t, "--rank", n, "--format", fmt))
     return cmds
 
 
@@ -127,6 +141,28 @@ GOLDEN: dict[tuple[str, ...], tuple[int, str]] = {
     ('verify', '--suite', 'thm44', '--type', 'B', '--rank', '2'): (0, '9c8bed0b610df3cdaa88ebe2cc43a8afb289d6e80f99200e1cf8a501a15d04f2'),
     ('verify', '--suite', 'torus', '--type', 'B', '--rank', '2'): (0, '8445eea17c91c6ea5971ee51083a709aff5f50365e8dd30144a0b907c3b3fa45'),
     ('verify', '--suite', 'jt', '--type', 'C', '--rank', '3'): (0, 'cf3867fe154c720046a01214fbb7bbca870ecb11b45f75ada4252799ef2d10ab'),
+    ('gnk', '--type', 'C', '--rank', '3', '--k', '3', '--route', 'antisym', '--format', 'json'): (0, '91e533bb0ab671c798604c4e822fd05286bea17a0c3cb58a5fee7fa864a3d209'),
+    ('gnk', '--type', 'C', '--rank', '3', '--k', '3', '--route', 'antisym', '--format', 'text'): (0, '8c65147d589ea46aaf2ccf5c36ae2139543a329e01949b27fc4bf052ebb95650'),
+    ('gnk', '--type', 'C', '--rank', '3', '--k', '3', '--route', 'antisym', '--format', 'latex'): (0, 'a94026b31812ab78272850641a6be8ac231039ced42d26e1eb0b4d1e3d86638e'),
+    ('gnk', '--type', 'C', '--rank', '3', '--k', '3', '--route', 'hooks', '--format', 'json'): (0, '0e23f7826259c1898089344f950e0f454c6db527528d3fcd7b90e48e89bd118d'),
+    ('gnk', '--type', 'C', '--rank', '3', '--k', '3', '--route', 'hooks', '--format', 'text'): (0, '8c65147d589ea46aaf2ccf5c36ae2139543a329e01949b27fc4bf052ebb95650'),
+    ('gnk', '--type', 'C', '--rank', '3', '--k', '3', '--route', 'hooks', '--format', 'latex'): (0, 'a94026b31812ab78272850641a6be8ac231039ced42d26e1eb0b4d1e3d86638e'),
+    ('gnk', '--type', 'D', '--rank', '4', '--k', '4', '--route', 'antisym', '--format', 'json'): (0, 'e836f9b152892bc61ea36cf01a9114da715b45fdb40b836522d83eac66498a44'),
+    ('gnk', '--type', 'D', '--rank', '4', '--k', '4', '--route', 'antisym', '--format', 'text'): (0, '4607c33aa1792f8458f50b8f43050db2d1c915f776b8de138063b46ef75e5ffa'),
+    ('gnk', '--type', 'D', '--rank', '4', '--k', '4', '--route', 'antisym', '--format', 'latex'): (0, '77f564e99ea8ce902a999ff98329407a3e01d956ca1de0eb05c45f74d761daad'),
+    ('gnk', '--type', 'D', '--rank', '4', '--k', '4', '--route', 'hooks', '--format', 'json'): (0, 'ea405d81d1ff0f9fa3b36f43602ad8fdd10b968d473696f10ae51c7ecb2a626c'),
+    ('gnk', '--type', 'D', '--rank', '4', '--k', '4', '--route', 'hooks', '--format', 'text'): (0, '4607c33aa1792f8458f50b8f43050db2d1c915f776b8de138063b46ef75e5ffa'),
+    ('gnk', '--type', 'D', '--rank', '4', '--k', '4', '--route', 'hooks', '--format', 'latex'): (0, '77f564e99ea8ce902a999ff98329407a3e01d956ca1de0eb05c45f74d761daad'),
+    ('hc', '--type', 'C', '--rank', '3', '--ell', '3', '--format', 'json'): (0, '3d1c683f9b2617807b23f20169e275f5f579a58da7d2e83a31969e6f71d0ef8e'),
+    ('hc', '--type', 'C', '--rank', '3', '--ell', '3', '--format', 'text'): (0, '056adca5eba464e5fb3778bf060c834005c5329cbd0772cffc5d6cb7bed8c794'),
+    ('hc', '--type', 'C', '--rank', '3', '--ell', '3', '--format', 'latex'): (0, 'e8fe7faf660a279927c8366f286e1bb6617ca195f56249bdc3f2e7fdbf9d0db7'),
+    ('hc', '--type', 'D', '--rank', '4', '--ell', '2', '--format', 'json'): (0, '1277ec686ebf0939f572ae1f0084f8e084393d1ddb256b60e2c966656dd026d2'),
+    ('hc', '--type', 'D', '--rank', '4', '--ell', '2', '--format', 'text'): (0, 'df46f5f26b440b2d15654b4e7bd161b8d5e8cbdb017dc62514c0e1937cdf1e1d'),
+    ('hc', '--type', 'D', '--rank', '4', '--ell', '2', '--format', 'latex'): (0, '0e90fafba38d8896d044057580d06df7682d782cbdd6c343fbba2af68f3fc515'),
+    ('solve-basis', '--type', 'C', '--rank', '3', '--format', 'json'): (0, 'de785ff8285b4d7c03abcdf6bae5b0361e24e0c0637faf591a800c7be7ec64e1'),
+    ('solve-basis', '--type', 'C', '--rank', '3', '--format', 'text'): (0, 'c140bf9ccfa0fce3cd7193613d7366e3b3bd4ff8a69cae548d14664bce4b54ac'),
+    ('solve-basis', '--type', 'D', '--rank', '4', '--format', 'json'): (0, 'd0069b32f645e0ffe5e02295764dda28739a7ebaa417242ef33ff9e69ae70b4c'),
+    ('solve-basis', '--type', 'D', '--rank', '4', '--format', 'text'): (0, '91464b502ada775d31dfc06e4d886ecedd838d63e196360d093ff87a6dc0d50b'),
 }
 
 
