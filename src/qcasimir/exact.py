@@ -106,22 +106,6 @@ def _unpack(packed: int, n: int, bits: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _product(a: dict, b: dict, lanes: int) -> dict:
-    """The product of two flat term maps whose keys have ``lanes`` entries."""
-    if len(a) > len(b):
-        a, b = b, a
-    bits = _lane_bits(_max_coord(a) + _max_coord(b))
-    off = _pack((0,) * lanes, bits)
-    b_items = [(_pack(k, bits), c) for k, c in b.items()]
-    res: dict[int, Coeff] = {}
-    for ka, ca in a.items():
-        ka = _pack(ka, bits) - off
-        for kb, cb in b_items:
-            k = ka + kb
-            res[k] = res.get(k, 0) + ca * cb
-    return {_unpack(k, lanes, bits): _norm_coeff(c) for k, c in res.items() if c}
-
-
 class EPoly:
     """Sparse Laurent polynomial in E_1..E_n and q over the rationals.
 
@@ -226,7 +210,22 @@ class EPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        return self._like(_product(self.terms, other.terms, self.rank + 1))
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        n = self.rank + 1
+        bits = _lane_bits(_max_coord(a) + _max_coord(b))
+        off = _pack((0,) * n, bits)
+        b_items = [(_pack(k, bits), c) for k, c in b.items()]
+        res: dict[int, Coeff] = {}
+        for ka, ca in a.items():
+            ka = _pack(ka, bits) - off
+            for kb, cb in b_items:
+                k = ka + kb
+                res[k] = res.get(k, 0) + ca * cb
+        return self._like(
+            {_unpack(k, n, bits): _norm_coeff(c) for k, c in res.items() if c}
+        )
 
     __rmul__ = __mul__
 
