@@ -7,17 +7,17 @@ constant slot in type B).  A binomial change of order parameter turns the
 family into building blocks G_{n,k}; writing L_a as the formal exponential
 e^{eps_a} realises each block inside the character ring.
 
-Two independent constructions of the block characters are provided:
+Two independent constructions of the block characters are provided, both
+as chamber forms {nu: c_nu} with G_{n,k} = sum over nu of c_nu chi_{nu-rho}:
 
-* ``ch_g_via_antisym`` reads the antisymmetrized auxiliary product
-  ``H_{n,k}`` divided by the Weyl denominator in the basis of irreducible
-  characters: straightening ``H_{n,k}`` into the dominant chamber
-  (:func:`chamber_form`) gives the coefficient of each character, with no
-  group enumeration and no division of A(H_{n,k}), and
-* ``ch_g_via_hooks`` assembles signed q-powers of irreducible characters of
-  hook shape, as listed by the table :func:`hook_terms`.
+* :func:`chamber_form` straightens the auxiliary product ``H_{n,k}`` into
+  the dominant chamber, with no group enumeration and no division of
+  A(H_{n,k}), and
+* :func:`hook_chamber` reads the signed q-powers of irreducible characters
+  of hook shape listed by the table :func:`hook_terms`.
 
-Their exact agreement (for every k) is the central identity of the package
+``ch_g_via_antisym`` and ``ch_g_via_hooks`` expand them by the one shared
+step, :func:`~qcasimir.chars.character_sum`.  Their exact agreement (for every k) is the central identity of the package
 and is what the verification suites establish.  A third, purely numeric
 route evaluates the raw rational forms at exact rational points and serves
 as an oracle for both.
@@ -34,9 +34,9 @@ from typing import Sequence
 
 from .chars import (
     GAElem,
+    character_sum,
     natural_character,
     straighten,
-    weyl_character,
 )
 from .exact import Coeff, NotDivisible, QLaurent, _clean
 from .roots import (
@@ -100,18 +100,16 @@ def h_element(rs: RootSystem, k: int) -> GAElem:
     return res
 
 
-def chamber_form(rs: RootSystem, k: int) -> dict[tuple, QLaurent]:
+def chamber_form(rs: RootSystem, k: int) -> GAElem:
     """The antisymmetrizer form of the k-th block in the dominant chamber:
-    {nu: c_nu} over strictly dominant nu (doubled coordinates) with
+    the GAElem {nu: c_nu} over strictly dominant nu with
 
         A(e^rho G_{n,k}) = q^{c_n - 1} A(H_{n,k}) (+ q^{-k} A(e^rho) in type B)
                          = sum over nu of c_nu A(e^nu),
 
     that is q^{c_n - 1} times the straightened H_{n,k}, plus q^{-k} at rho in
-    type B.  Since A(e^nu) / Delta is the character of highest weight
-    nu - rho, G_{n,k} = sum over nu of c_nu chi_{nu - rho}: the block in the
-    basis of irreducible characters, with no group enumeration and no
-    division.
+    type B: the block in the basis of irreducible characters, with no group
+    enumeration and no division.
     """
     x = h_element(rs, k).scale(QLaurent.monomial(4 * (rs.c_n - 1)))
     if rs.lie_type is LieType.B:
@@ -123,27 +121,13 @@ _chg_cache: dict[tuple, GAElem] = {}
 
 
 def ch_g_via_antisym(rs: RootSystem, k: int) -> CasimirImage:
-    """Block character via the antisymmetrizer route: the sum of
-    c_nu chi_{nu - rho} over the :func:`chamber_form` of H_{n,k}.
-
-    This is q^{c_n - 1} A(H_{n,k}) / Delta (plus q^{-k} in type B) without
-    forming A(H_{n,k}) or dividing it: straightening H_{n,k} gives the
-    coefficients, and the characters come from ``weyl_character``.  The
-    route shares nothing else with the hook route.
-    """
+    """Block character via the antisymmetrizer route: q^{c_n - 1} A(H_{n,k})
+    / Delta (plus q^{-k} in type B), as the character sum of its
+    :func:`chamber_form`, without forming A(H_{n,k}) or dividing it."""
     key = (rs.lie_type, rs.rank, k, "antisym")
     body = _chg_cache.get(key)
     if body is None:
-        terms: dict[tuple, Coeff] = {}
-        for nu, c in chamber_form(rs, k).items():
-            chi = weyl_character(rs, Weight(nu) - rs.rho)
-            qs = list(c.terms.items())
-            for w, m in chi.terms.items():  # q lane 0: w[:-1] is the weight
-                for e, x in qs:
-                    t = w[:-1] + e
-                    terms[t] = terms.get(t, 0) + m * x
-        body = GAElem._flat(rs.rank, _clean(terms))
-        _chg_cache[key] = body
+        body = _chg_cache[key] = character_sum(chamber_form(rs, k), rs)
     return CasimirImage(rs.lie_type, rs.rank, k, body, "prop4_3")
 
 
@@ -156,8 +140,8 @@ def hook_terms(rs: RootSystem, k: int) -> tuple[HookTerm, ...]:
     of sign * q^(exponent/4) * (sum of the characters of the weights).  An
     empty weight tuple stands for the constant q^{-k}.
 
-    This table is the one statement of the expansion; ``ch_g_via_hooks``,
-    ``constituents`` and ``ebasis.g_in_e_basis`` only read it:
+    This table is the one statement of the expansion; :func:`hook_chamber`
+    (behind ``ch_g_via_hooks``) and ``ebasis.g_in_e_basis`` only read it:
 
     * column r carries q^{c_n - 1 - 2r} and the sign (-1)^r, times tau(r) in
       type C (which drops r = n);
@@ -189,28 +173,29 @@ def hook_terms(rs: RootSystem, k: int) -> tuple[HookTerm, ...]:
     return tuple(terms)
 
 
-def ch_g_via_hooks(rs: RootSystem, k: int) -> CasimirImage:
-    """Block character via the signed hook-character expansion: the sum of
-    the Weyl characters over the entries of :func:`hook_terms`.  At k = 0 the
-    block is the constant :func:`closed_form_g0`."""
-    key = (rs.lie_type, rs.rank, k, "hooks")
-    body = _chg_cache.get(key)
-    if body is not None:
-        return CasimirImage(rs.lie_type, rs.rank, k, body, "hook_expansion")
+def hook_chamber(rs: RootSystem, k: int) -> GAElem:
+    """The hook route as a chamber form: each highest weight lam of
+    :func:`hook_terms` at lam + rho, the constant at rho; at k = 0 the
+    constant :func:`closed_form_g0`, at rho."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    n = rs.rank
     if k == 0:
-        body = closed_form_g0(rs)
-    else:
-        body = GAElem.zero(n)
-        for sign, qexp, weights in hook_terms(rs, k):
-            term = GAElem.zero(n) if weights else GAElem.one(n)
-            for w in weights:
-                term = term + weyl_character(rs, w)
-            term = term.scale(QLaurent.monomial(qexp))
-            body = body + term if sign > 0 else body - term
-    _chg_cache[key] = body
+        return closed_form_g0(rs).shift(rs.rho)
+    terms: dict[tuple, Coeff] = {}
+    for sign, qexp, weights in hook_terms(rs, k):
+        for w in weights or (Weight.zero(rs.rank),):
+            t = (w + rs.rho).dbl + (qexp,)
+            terms[t] = terms.get(t, 0) + sign
+    return GAElem._flat(rs.rank, _clean(terms))
+
+
+def ch_g_via_hooks(rs: RootSystem, k: int) -> CasimirImage:
+    """Block character via the signed hook-character expansion: the sum of
+    c_nu chi_{nu - rho} over :func:`hook_chamber`."""
+    key = (rs.lie_type, rs.rank, k, "hooks")
+    body = _chg_cache.get(key)
+    if body is None:
+        body = _chg_cache[key] = character_sum(hook_chamber(rs, k), rs)
     return CasimirImage(rs.lie_type, rs.rank, k, body, "hook_expansion")
 
 
@@ -540,22 +525,21 @@ def eigenvalue_via_hc(
 
 def constituents(rs: RootSystem, k: int) -> list[tuple[int, tuple, int]]:
     """Constituent list of the k-th block, normalized for cross-rank
-    comparison: a view of the entries of :func:`hook_terms`.
+    comparison: a view of the antisymmetrizer route's :func:`chamber_form`.
 
-    Each entry is (q-power, weight, multiplicity).  Hook entries report the
-    q-power relative to q^{2n} (so it is rank-free) and the weight as its
-    partition tuple (the barred type D hook keeps its negative last part);
-    the constant term, when present, is reported with its absolute power -k
-    and the empty tuple.
+    Each entry is (q-power, weight, coefficient), one per monomial of c_nu
+    on chi_{nu - rho}.  Hooks report the q-power relative to q^{2n} (so it
+    is rank-free) and the weight as its partition tuple (the barred type D
+    hook keeps its negative last part); the constant term, when present, is
+    reported with its absolute power -k and the empty tuple.
     """
     n = rs.rank
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}")
     entries: list[tuple[int, tuple, int]] = []
-    for sign, qexp, weights in hook_terms(rs, k):
-        if not weights:
-            entries.append((qexp // 4, (), sign))
-        for w in weights:
-            parts = tuple(int(c) for c in w.coords if c)
-            entries.append((qexp // 4 - 2 * n, parts, sign))
+    for key, m in chamber_form(rs, k).terms.items():
+        lam = Weight(key[:-1]) - rs.rho
+        parts = tuple(int(c) for c in lam.coords if c)
+        power = key[-1] // 4
+        entries.append((power - 2 * n if parts else power, parts, m))
     return sorted(entries)

@@ -170,7 +170,10 @@ def cmd_eig(args) -> int:
     if args.ell is None:
         raise UsageError("--ell is required")
     lam = _parse_coords(args.lam)
-    s = Fraction(args.s)
+    try:
+        s = Fraction(args.s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad --s {args.s!r}: {exc}") from None
     direct = eigenvalue_direct(rs, lam, args.ell, s)
     via_hc = eigenvalue_via_hc(rs, lam, args.ell, s)
     payload = {

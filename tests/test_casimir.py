@@ -24,10 +24,12 @@ from qcasimir.casimir import (
     hc_divisibility_failures,
     hc_image,
     hc_value,
+    hook_chamber,
     hook_terms,
 )
 from qcasimir.chars import (
     GAElem,
+    character_sum,
     divide_by_denominator,
     enumerate_weyl,
     is_w_invariant,
@@ -36,6 +38,7 @@ from qcasimir.chars import (
     weyl_character,
     weyl_denominator,
 )
+from qcasimir.ebasis import jt_character
 from qcasimir.exact import NotDivisible, QLaurent
 from qcasimir.roots import (
     LieType,
@@ -44,9 +47,10 @@ from qcasimir.roots import (
     build_root_system,
     eps,
     pairing,
+    partition_to_weight,
 )
 from qcasimir.verify import (
-    block_identity_failure,
+    chamber_failure,
     in_scope_systems,
     sample_dominant_weight,
 )
@@ -170,10 +174,11 @@ class TestChamberRoute:
             g = ch_g_via_hooks(rs, k).body
             rhs = literal_rhs(rs, k)
             # the block, and two W-invariant blocks that are wrong
+            chamber = chamber_form(rs, k)
             for cand in (g, g + chi.scale(Q(1)), g.scale(Q(1))):
                 holds = delta * cand == rhs
-                assert (block_identity_failure(rs, k, cand) == "") == holds, k
-            assert block_identity_failure(rs, k, g) == ""
+                assert (chamber_failure(rs, cand, chamber) == "") == holds, k
+            assert chamber_failure(rs, g, chamber) == ""
 
     @pytest.mark.parametrize("rs", SMALL, ids=_name)
     def test_premise_rejects_a_block_that_is_not_invariant(self, rs):
@@ -184,7 +189,47 @@ class TestChamberRoute:
         assert not is_w_invariant(g, rs)
         assert straighten(g.shift(rs.rho), rs) == chamber_form(rs, k)
         assert weyl_denominator(rs) * g != literal_rhs(rs, k)
-        assert block_identity_failure(rs, k, g) == "block is not W-invariant"
+        assert chamber_failure(rs, g, chamber_form(rs, k)) == "block is not W-invariant"
+
+
+class TestChamberFailure:
+    """Criterion 8's check, Weyl's formula in numerator form, rejects a
+    wrong shape and a determinant that is not W-invariant."""
+
+    @staticmethod
+    def _chamber(rs, parts):
+        lam = partition_to_weight(rs, parts)
+        return GAElem.exponential(lam + rs.rho)
+
+    @pytest.mark.parametrize("rs", SMALL, ids=_name)
+    def test_accepts_the_determinant_of_its_shape(self, rs):
+        jt = jt_character(rs, (2, 1), target="ga")
+        assert chamber_failure(rs, jt, self._chamber(rs, (2, 1))) == ""
+
+    @pytest.mark.parametrize("rs", SMALL, ids=_name)
+    def test_rejects_another_shape(self, rs):
+        jt = jt_character(rs, (2, 1), target="ga")
+        for parts in ((2,), (1, 1), (3,)):
+            why = chamber_failure(rs, jt, self._chamber(rs, parts))
+            assert why == "chamber coefficients differ", parts
+
+    @pytest.mark.parametrize("rs", SMALL, ids=_name)
+    def test_rejects_a_perturbation_that_is_not_invariant(self, rs):
+        # e^{-rho} straightens to nothing after the shift by rho
+        jt = jt_character(rs, (2, 1), target="ga") + GAElem.exponential(-rs.rho)
+        chamber = self._chamber(rs, (2, 1))
+        assert straighten(jt.shift(rs.rho), rs) == chamber
+        assert chamber_failure(rs, jt, chamber) == "block is not W-invariant"
+
+    def test_type_d_full_length_needs_the_mirror(self):
+        parts = (1,) * D4.rank
+        jt = jt_character(D4, parts, target="ga")
+        lam = partition_to_weight(D4, parts)
+        mirror = Weight(lam.dbl[:-1] + (-lam.dbl[-1],))
+        chamber = GAElem.exponential(lam + D4.rho)
+        assert chamber_failure(D4, jt, chamber) == "chamber coefficients differ"
+        chamber = chamber + GAElem.exponential(mirror + D4.rho)
+        assert chamber_failure(D4, jt, chamber) == ""
 
 
 class TestRouteEquality:
@@ -199,12 +244,26 @@ class TestRouteEquality:
                 ch_g_via_antisym(rs, k).body == ch_g_via_hooks(rs, k).body
             ), k
 
+    @pytest.mark.parametrize("rs", SMALL, ids=_name)
+    def test_chamber_forms_agree(self, rs):
+        # criterion 3's comparison, read back through the expanded bodies
+        for k in range(rs.hook_r_range()[-1] + 3):
+            chamber = hook_chamber(rs, k)
+            assert chamber == chamber_form(rs, k), k
+            assert ch_g_via_hooks(rs, k).body == character_sum(chamber, rs), k
+
+    def test_hook_chamber_at_k0_is_the_constant_at_rho(self):
+        for rs in SMALL:
+            assert hook_chamber(rs, 0) == closed_form_g0(rs).shift(rs.rho)
+        with pytest.raises(ValueError):
+            hook_chamber(B2, -1)
+
     def test_block_bodies_invariant_and_integral(self):
         for rs in (B2, C3):
             for k in range(rs.rank + 2):
                 body = ch_g_via_antisym(rs, k).body
                 assert body.has_integral_support()
-                assert is_w_invariant(body, rs, full=True)
+                assert all(body.act(w) == body for w in enumerate_weyl(rs))
 
     @staticmethod
     def _hook_sum(rs, k, power_of, taus=None):
@@ -335,7 +394,7 @@ class TestTorusImages:
             for ell in range(1, rs.rank + 1):
                 body = hc_combination(rs, ell)
                 assert body.has_integral_support()
-                assert is_w_invariant(body, rs, full=True)
+                assert all(body.act(w) == body for w in enumerate_weyl(rs))
 
     def test_classical_limit_finite_at_all_ones(self):
         for rs in SMALL:
@@ -533,18 +592,18 @@ class TestConstituents:
             assert total == ch_g_via_antisym(rs, k).body, k
 
     @pytest.mark.parametrize("rs", ALL, ids=_name)
-    def test_derived_from_the_chamber_form(self, rs):
-        # the antisymmetrizer route read as constituents: every monomial of
-        # c_nu on chi_{nu - rho}, normalized as constituents() does
+    def test_derived_from_the_hook_table(self, rs):
+        # the hook route read as constituents: every entry of hook_terms,
+        # normalized as constituents() normalizes the chamber form
         n = rs.rank
         for k in range(1, n + 1):
             derived = []
-            for nu, c in chamber_form(rs, k).items():
-                lam = Weight(nu) - rs.rho
-                parts = tuple(int(x) for x in lam.coords if x)
-                for (e,), m in c.terms.items():
-                    power = e // 4 if not parts else e // 4 - 2 * n
-                    derived.append((power, parts, m))
+            for sign, qexp, weights in hook_terms(rs, k):
+                if not weights:
+                    derived.append((qexp // 4, (), sign))
+                for w in weights:
+                    parts = tuple(int(c) for c in w.coords if c)
+                    derived.append((qexp // 4 - 2 * n, parts, sign))
             assert sorted(derived) == constituents(rs, k), k
 
 

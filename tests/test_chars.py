@@ -13,6 +13,7 @@ from qcasimir.chars import (
     alternant,
     antisymmetrize,
     character_by_division,
+    character_sum,
     coset_representatives,
     divide_by_denominator,
     dominant_multiplicities,
@@ -233,36 +234,39 @@ class TestStraighten:
     def test_keys_are_strictly_dominant(self, rs):
         rng = random.Random(9)
         x = GAElem(rs.rank, {_rand_key(rs, rng, "mixed"): ONE for _ in range(40)})
-        for key in straighten(x, rs):
+        for key in straighten(x, rs)._per_weight():
             lam = Weight(key)
             assert rs.is_dominant(lam)
             assert all(pairing(lam, alpha) != 0 for alpha in rs.positive_roots)
 
     def test_rules_types_b_and_c(self):
+        zero = GAElem.zero(3)
         for rs in (B3, C3):
             def one(key):
                 return straighten(GAElem(3, {key: ONE}), rs)
 
-            assert one((6, 4, 2)) == {(6, 4, 2): ONE}
-            assert one((4, 6, 2)) == {(6, 4, 2): -ONE}  # one transposition
-            assert one((-4, 6, 2)) == {(6, 4, 2): ONE}  # and one sign flip
-            assert one((-6, -4, 2)) == {(6, 4, 2): ONE}  # two sign flips
-            assert one((6, 0, 2)) == {}  # a zero
-            assert one((6, -2, 2)) == {}  # a tie of magnitudes
+            assert one((6, 4, 2)) == GAElem(3, {(6, 4, 2): ONE})
+            assert one((4, 6, 2)) == GAElem(3, {(6, 4, 2): -ONE})  # one transposition
+            assert one((-4, 6, 2)) == GAElem(3, {(6, 4, 2): ONE})  # and one sign flip
+            assert one((-6, -4, 2)) == GAElem(3, {(6, 4, 2): ONE})  # two sign flips
+            assert one((6, 0, 2)) == zero  # a zero
+            assert one((6, -2, 2)) == zero  # a tie of magnitudes
 
     def test_rules_type_d(self):
+        zero = GAElem.zero(4)
+
         def one(key):
             return straighten(GAElem(4, {key: ONE}), D4)
 
         # the sort reverses four entries (an even permutation); one negative
         # coordinate stays on the last one
-        assert one((2, 4, 6, -8)) == {(8, 6, 4, -2): ONE}
-        assert one((-2, 4, 6, 8)) == {(8, 6, 4, -2): ONE}
-        assert one((4, 2, 6, 8)) == {(8, 6, 4, 2): -ONE}
+        assert one((2, 4, 6, -8)) == GAElem(4, {(8, 6, 4, -2): ONE})
+        assert one((-2, 4, 6, 8)) == GAElem(4, {(8, 6, 4, -2): ONE})
+        assert one((4, 2, 6, 8)) == GAElem(4, {(8, 6, 4, 2): -ONE})
         # a zero absorbs an odd sign flip and does not drop the term
-        assert one((0, 2, 4, -6)) == {(6, 4, 2, 0): ONE}
-        assert one((0, 0, 4, 6)) == {}
-        assert one((2, -2, 4, 6)) == {}
+        assert one((0, 2, 4, -6)) == GAElem(4, {(6, 4, 2, 0): ONE})
+        assert one((0, 0, 4, 6)) == zero
+        assert one((2, -2, 4, 6)) == zero
 
 
 class TestDenominator:
@@ -606,6 +610,39 @@ class TestFreudenthal:
             chi = weyl_character(rs, lam)
             assert chi.evaluate(1, [1] * n) == weyl_dimension(rs, lam)
             assert is_w_invariant(chi, rs)
+
+
+def _rand_chamber(rs, rng, nterms=4):
+    """A chamber form: q-dependent coefficients on strictly dominant weights
+    lam + rho, lam drawn from the small dominant grid."""
+    grid = _dominant_grid(rs, 2)
+    lams = rng.sample(grid, nterms)
+    return GAElem(
+        rs.rank, {(lam + rs.rho).dbl: _rand_coeff(rng, "q") for lam in lams}
+    )
+
+
+class TestCharacterSum:
+    """Weyl's formula read both ways on chamber forms with q-dependent
+    coefficients: character_sum against the literal quotient of the
+    enumerated alternant, and straightening back."""
+
+    @pytest.mark.parametrize("rs", [B2, B3, C3, D4], ids=lambda r: f"{r.lie_type.value}{r.rank}")
+    def test_equals_literal_quotient(self, rs):
+        rng = random.Random(f"character-sum-{rs.lie_type.value}{rs.rank}")
+        for _ in range(3):
+            c = _rand_chamber(rs, rng)
+            expected = divide_by_denominator(literal_antisymmetrize(c, rs), rs)
+            assert character_sum(c, rs) == expected
+
+    @pytest.mark.parametrize("rs", [B2, B3, C3, D4], ids=lambda r: f"{r.lie_type.value}{r.rank}")
+    def test_straightens_back(self, rs):
+        rng = random.Random(f"straighten-back-{rs.lie_type.value}{rs.rank}")
+        for _ in range(3):
+            c = _rand_chamber(rs, rng)
+            g = character_sum(c, rs)
+            assert is_w_invariant(g, rs)
+            assert straighten(g.shift(rs.rho), rs) == c
 
 
 class TestExtPowers:

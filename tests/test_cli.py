@@ -84,6 +84,17 @@ def test_eig_off_the_weight_lattice_is_usage_error(capsys):
     assert "not on the weight lattice" in err
 
 
+@pytest.mark.parametrize("s", ["1/0", "two"], ids=("zero-denominator", "not-a-number"))
+def test_eig_bad_s_is_usage_error(capsys, s):
+    code, out, err = run(
+        capsys, "eig", "--type", "B", "--rank", "2", "--lambda", "1,1",
+        "--ell", "1", "--s", s,
+    )
+    assert code == 2
+    assert out == ""
+    assert f"bad --s {s!r}" in err
+
+
 def test_gnk_routes_agree(capsys):
     code, out_a, _ = run(
         capsys, "gnk", "--type", "C", "--rank", "3", "--k", "2"
@@ -296,11 +307,16 @@ def test_missing_lambda_is_usage_error(capsys, argv):
         (("--suite", "all", "--type", "B", "--rank", "5"), "no in-scope system"),
         (("--suite", "thm44", "--rank", "5"), "selects no cases"),
         (("--suite", "stability", "--max-rank", "1"), "selects no cases"),
+        (("--suite", "thm45", "--max-rank", "1"), "--max-rank"),
     ],
-    ids=("points-0", "points-neg", "rank-7", "B5", "thm44-rank-5", "stability-max-rank-1"),
+    ids=(
+        "points-0", "points-neg", "rank-7", "B5", "thm44-rank-5",
+        "stability-max-rank-1", "thm45-max-rank-1",
+    ),
 )
 def test_verify_selection_without_cases_is_usage_error(capsys, argv, message):
-    # each of these used to report success without checking anything
+    # each of these used to report success without checking anything, or
+    # while ignoring the filter that was asked for
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2
     assert out == ""
