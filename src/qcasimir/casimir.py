@@ -34,11 +34,12 @@ from typing import Sequence
 
 from .chars import (
     GAElem,
+    GridMismatch,
     character_sum,
     natural_character,
     straighten,
 )
-from .exact import Coeff, NotDivisible, QLaurent, _clean
+from .exact import Coeff, NotDivisible, QLaurent, _clean, _cleared_powers
 from .roots import (
     LieType,
     RootSystem,
@@ -337,7 +338,7 @@ def hc_value(
 def _l_table(rs: RootSystem, half_point: Sequence[Coeff]) -> dict[int, Fraction]:
     """L_a for a in {-n..-1,1..n} from the values of e^{eps_a/2}."""
     if len(half_point) != rs.rank:
-        raise ValueError("point length differs from rank")
+        raise GridMismatch("point length differs from rank")
     table: dict[int, Fraction] = {}
     for i, u in enumerate(half_point, start=1):
         u = Fraction(u)
@@ -400,6 +401,8 @@ def c0_rational_eval(
     if ell < 1:
         raise ValueError("ell must be >= 1")
     q = Fraction(s) ** 4
+    if q == 0:
+        raise DegenerateEvaluation("q = 0")
     lvals = _l_table(rs, half_point)
     qdiff = q - 1 / q
     if qdiff == 0:
@@ -425,12 +428,10 @@ def c0_rational_eval(
 # ---------------------------------------------------------------------------
 
 
-def _qdim_value(rs: RootSystem, s: Coeff) -> Fraction:
-    q = Fraction(s) ** 4
-    total = Fraction(0)
-    for a in rs.iprime:
-        total += q ** int(pairing(rs.rho.scale(2), eps(rs.rank, a)))
-    return total
+def _qdim_value(rs: RootSystem, q: Fraction) -> Fraction:
+    exps = [int(pairing(rs.rho.scale(2), eps(rs.rank, a))) for a in rs.iprime]
+    t, num, den = _cleared_powers(q, exps)
+    return Fraction(sum(t[e] for e in exps) * num, den)
 
 
 def eigenvalue_direct(
@@ -447,11 +448,11 @@ def eigenvalue_direct(
     rs.check_highest_weight(lam)
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    if ell == 0:
-        return _qdim_value(rs, s)
     q = Fraction(s) ** 4
-    if q in (0, 1, -1):
+    if q == 0 or (ell and q in (1, -1)):
         raise DegenerateEvaluation("q must avoid 0 and roots of unity")
+    if ell == 0:
+        return _qdim_value(rs, q)
     lam_rho = lam + rs.rho
     # pair_a = (eps_a, 2 rho + 2 lam + eps_a); its sign-flipped and zero slots
     def pair_a(a: int) -> int:
@@ -467,37 +468,46 @@ def eigenvalue_direct(
         d = lam_rho.dbl[abs(b) - 1]
         return d - 1 if b > 0 else -d - 1
 
-    qdiff = q - 1 / q
+    # Every factor below is a ratio of differences of q-powers, so on the
+    # cleared table p[k] = q^k * den / num the common factor cancels: each
+    # term is one ratio of integers.  Only the leading q^(c_n - (eps_a,
+    # eps_a)) keeps the factor, applied once to the sum.
+    aas = [pair_a(a) for a in rs.iprime]
+    exps = [0, 1, -1, 2, -2, rs.c_n - 1, rs.c_n, *map(pair_b_minus, rs.iprime)]
+    for x in aas:  # with the above, every exponent used below
+        exps += (x, 2 * x, x - 1, x + 1, x - rs.c_n)
+    p, num, den = _cleared_powers(q, exps)
+    one = p[0]
     total = Fraction(0)
-    for a in rs.iprime:
-        ea_sq = 0 if a == 0 else 1
-        aa = pair_a(a)
-        # f(a)
+    for a, aa in zip(rs.iprime, aas):
+        # f(a) = f_num / f_den
         if a == 0:
-            f = Fraction(1)
+            f_num = f_den = 1
         else:
-            den = q ** (2 * aa) - 1
-            if den == 0:
+            f_den = p[2 * aa] - one
+            if f_den == 0:
                 raise DegenerateEvaluation(f"f({a}) denominator vanishes")
             if rs.lie_type is LieType.B:
-                f = 1 + qdiff * q**aa / den
+                f_num = f_den + p[aa + 1] - p[aa - 1]
             elif rs.lie_type is LieType.C:
-                f = 1 + (1 - q ** (-2)) / den
+                f_num = p[2 * aa] - p[-2]
             else:
-                f = 1 - (q**2 - 1) / den
-        term = q ** (rs.c_n - ea_sq) * f * ((q ** (aa - rs.c_n) - 1) / qdiff) ** ell
-        qa = q**aa
-        for b in rs.iprime:
+                f_num = p[2 * aa] - p[2]
+        term = p[rs.c_n - (a != 0)] * f_num * (p[aa - rs.c_n] - one) ** ell
+        term_den = f_den
+        qa = p[aa]
+        for b, bb in zip(rs.iprime, aas):
             if b == a:
                 continue
-            den = qa - q ** pair_a(b)
-            if den == 0:
+            d = qa - p[bb]
+            if d == 0:
                 raise DegenerateEvaluation(
                     f"index pair ({a},{b}) collides at this weight"
                 )
-            term *= (qa - q ** pair_b_minus(b)) / den
-        total += term
-    return total
+            term *= qa - p[pair_b_minus(b)]
+            term_den *= d
+        total += Fraction(term, term_den)
+    return total * Fraction(num, den * (p[1] - p[-1]) ** ell)
 
 
 def eigenvalue_via_hc(

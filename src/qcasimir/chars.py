@@ -66,6 +66,7 @@ from .exact import (
     RankMismatch,
     ZeroBase,
     _clean,
+    _cleared_powers,
     _norm_coeff,
 )
 from .roots import (
@@ -337,31 +338,33 @@ class GAElem(EPoly):
 
         The point gives the values of the half exponentials, so spin weights
         specialize exactly; integral weights only ever use the squares.  Each
-        power of a point coordinate, and the value of each weight, is computed
-        once.
+        coordinate's powers come from one cleared-denominator table over its
+        exponents in the support, so each weight's value is an integer over
+        one common denominator, computed once; each q exponent's sum is
+        divided once.
         """
         if len(half_point) != self.rank:
             raise GridMismatch("point length differs from rank")
         pt = [Fraction(x) for x in half_point]
         if any(x == 0 for x in pt):
             raise ZeroBase("zero entry in evaluation point")
-        powers: list[dict[int, Fraction]] = [{} for _ in range(self.rank)]
-        values: dict[tuple, Coeff] = {}
+        tables, num, den = [], 1, 1
+        for x, lane in zip(pt, zip(*self.terms)):
+            t, n, d = _cleared_powers(x, lane)
+            tables.append(t)
+            num, den = num * n, den * d
+        values: dict[tuple, int] = {}
         acc: dict[int, Coeff] = {}
         for key, c in self.terms.items():
             w, e = key[:-1], key[-1]
             scalar = values.get(w)
             if scalar is None:
                 scalar = 1
-                for i, d in enumerate(w):
-                    if d:
-                        p = powers[i].get(d)
-                        if p is None:
-                            p = powers[i][d] = pt[i] ** d
-                        scalar *= p
+                for t, d in zip(tables, w):
+                    scalar *= t[d]
                 values[w] = scalar
             acc[e] = acc.get(e, 0) + c * scalar
-        return QLaurent(acc)
+        return QLaurent({e: Fraction(v * num, den) for e, v in acc.items()})
 
     def evaluate(self, s: Coeff, half_point: Sequence[Coeff]) -> Fraction:
         """Exact value with q^(1/4) := s and e^(eps_i/2) := half_point[i-1]:

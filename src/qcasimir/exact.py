@@ -88,6 +88,26 @@ def _lane_bits(bound: int) -> int:
     return bound.bit_length() + 1
 
 
+def _cleared_powers(x: Fraction, exps: Iterable[int]) -> tuple[dict[int, int], int, int]:
+    """The powers x**k, k in exps, over one denominator.
+
+    With x = a/b in lowest terms and lo, hi the least and greatest k,
+    returns the table {k: a**(k - lo) * b**(hi - k)} of ints and num, den
+    with x**k == t[k] * num / den (num / den is a**lo / b**hi).  A sum of
+    c_k * x**k is then summed in integers and divided once, and a ratio of
+    differences of powers is a ratio of differences of table entries.  Only
+    the exponents asked for are built: every entry has the bit size of the
+    whole range, so a dense table would grow with the square of it.
+    """
+    ks = set(exps)
+    lo, hi = min(ks), max(ks)
+    a, b = x.numerator, x.denominator
+    t = {k: a ** (k - lo) * b ** (hi - k) for k in ks}
+    num = a ** max(lo, 0) * b ** max(-hi, 0)
+    den = a ** max(-lo, 0) * b ** max(hi, 0)
+    return t, num, den
+
+
 def _pack(key: tuple[int, ...], bits: int) -> int:
     base = 1 << (bits - 1)
     acc = 0
@@ -463,7 +483,11 @@ class QLaurent(EPoly):
         s = Fraction(s)
         if s == 0:
             raise ZeroBase("evaluation at q^(1/4) = 0")
-        return sum((c * s**e for (e,), c in self.terms.items()), Fraction(0))
+        if not self.terms:
+            return Fraction(0)
+        t, num, den = _cleared_powers(s, (e for (e,) in self.terms))
+        total = sum(c * t[e] for (e,), c in self.terms.items())
+        return Fraction(total * num, den)
 
     # -- inspection / serialization --------------------------------------
 

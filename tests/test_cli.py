@@ -95,6 +95,18 @@ def test_eig_bad_s_is_usage_error(capsys, s):
     assert f"bad --s {s!r}" in err
 
 
+@pytest.mark.parametrize("ell", ["0", "1"])
+def test_eig_at_q_zero_is_a_degenerate_point(capsys, ell):
+    # exit 1 means "the two routes disagree"; q = 0 is an invalid point
+    code, out, err = run(
+        capsys, "eig", "--type", "B", "--rank", "2", "--lambda", "1,1",
+        "--ell", ell, "--s", "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert "q must avoid 0" in err
+
+
 def test_gnk_routes_agree(capsys):
     code, out_a, _ = run(
         capsys, "gnk", "--type", "C", "--rank", "3", "--k", "2"

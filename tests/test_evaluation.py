@@ -1,0 +1,267 @@
+"""Exact evaluation at rational points, against literal Fraction oracles.
+
+QLaurent.evaluate, GAElem.specialize and eigenvalue_direct sum integer
+multiples of powers cleared to one common denominator, and divide at the
+end.  The oracles below keep the plain Fraction forms those kernels
+replaced: sum(c * s**e), the per-term product of point powers, and the
+term-by-term eigenvalue sum.  Each kernel must agree with its oracle
+exactly, return a Fraction, and raise DegenerateEvaluation on exactly the
+same inputs with the same message.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from qcasimir.casimir import (
+    DegenerateEvaluation,
+    c0_rational_eval,
+    ch_g_via_antisym,
+    eigenvalue_direct,
+    g_rational_eval,
+    hc_combination,
+    hc_denominator,
+)
+from qcasimir.chars import GridMismatch, weyl_character
+from qcasimir.exact import QLaurent, _cleared_powers
+from qcasimir.roots import LieType, Weight, build_root_system, eps, pairing
+
+SYSTEMS = {
+    "B2": build_root_system(LieType.B, 2),
+    "B3": build_root_system(LieType.B, 3),
+    "C3": build_root_system(LieType.C, 3),
+    "D4": build_root_system(LieType.D, 4),
+}
+S_VALUES = (2, 3, Fraction(1, 2), -2, Fraction(3, 2))
+
+# Dominant weights: spin weights in B, half-spin weights of both signs in D,
+# and the genuine poles of the eigenvalue sum (last coordinate 0 in B and D).
+WEIGHTS = {
+    "B2": ("0,0", "1,0", "2,1", "1/2,1/2", "3/2,1/2"),
+    "B3": ("0,0,0", "2,1,0", "1,1,1", "3/2,1/2,1/2", "5/2,3/2,1/2"),
+    "C3": ("0,0,0", "1,1,1", "2,1,0", "3,1,1"),
+    "D4": (
+        "0,0,0,0", "1,0,0,0", "2,1,1,1", "1,1,1,-1",
+        "1/2,1/2,1/2,-1/2", "3/2,1/2,1/2,1/2",
+    ),
+}
+
+# Points with negative entries and entries below 1.
+POINTS = (
+    (2, -3, Fraction(1, 2), Fraction(-2, 3)),
+    (Fraction(5, 4), Fraction(1, 3), -1, 3),
+)
+
+# A q-dependent coefficient with Fraction entries, off the integer q grid.
+Q_COEFF = QLaurent({-3: Fraction(2, 7), 0: Fraction(-1, 3), 5: 4})
+
+
+def _weight(text):
+    return Weight.from_coords([Fraction(p) for p in text.split(",")])
+
+
+# -- the literal oracles ---------------------------------------------------
+
+
+def literal_qlaurent_value(x, s):
+    s = Fraction(s)
+    return sum((c * s**e for (e,), c in x.terms.items()), Fraction(0))
+
+
+def literal_specialize(x, half_point):
+    acc = {}
+    for key, c in x.terms.items():
+        value = Fraction(c)
+        for u, d in zip(half_point, key[:-1]):
+            value *= Fraction(u) ** d
+        acc[key[-1]] = acc.get(key[-1], 0) + value
+    return QLaurent(acc)
+
+
+def _literal_qdim_value(rs, s):
+    q = Fraction(s) ** 4
+    total = Fraction(0)
+    for a in rs.iprime:
+        total += q ** int(pairing(rs.rho.scale(2), eps(rs.rank, a)))
+    return total
+
+
+def literal_eigenvalue_direct(rs, lam, ell, s):
+    rs.check_highest_weight(lam)
+    if ell < 0:
+        raise ValueError("ell must be >= 0")
+    if ell == 0:
+        return _literal_qdim_value(rs, s)
+    q = Fraction(s) ** 4
+    if q in (0, 1, -1):
+        raise DegenerateEvaluation("q must avoid 0 and roots of unity")
+    lam_rho = lam + rs.rho
+    # pair_a = (eps_a, 2 rho + 2 lam + eps_a); its sign-flipped and zero slots
+    def pair_a(a: int) -> int:
+        if a == 0:
+            return 0
+        d = lam_rho.dbl[abs(a) - 1]
+        return d + 1 if a > 0 else -d + 1
+
+    def pair_b_minus(b: int) -> int:
+        # (eps_b, 2 rho + 2 lam - eps_b)
+        if b == 0:
+            return 0
+        d = lam_rho.dbl[abs(b) - 1]
+        return d - 1 if b > 0 else -d - 1
+
+    qdiff = q - 1 / q
+    total = Fraction(0)
+    for a in rs.iprime:
+        ea_sq = 0 if a == 0 else 1
+        aa = pair_a(a)
+        # f(a)
+        if a == 0:
+            f = Fraction(1)
+        else:
+            den = q ** (2 * aa) - 1
+            if den == 0:
+                raise DegenerateEvaluation(f"f({a}) denominator vanishes")
+            if rs.lie_type is LieType.B:
+                f = 1 + qdiff * q**aa / den
+            elif rs.lie_type is LieType.C:
+                f = 1 + (1 - q ** (-2)) / den
+            else:
+                f = 1 - (q**2 - 1) / den
+        term = q ** (rs.c_n - ea_sq) * f * ((q ** (aa - rs.c_n) - 1) / qdiff) ** ell
+        qa = q**aa
+        for b in rs.iprime:
+            if b == a:
+                continue
+            den = qa - q ** pair_a(b)
+            if den == 0:
+                raise DegenerateEvaluation(
+                    f"index pair ({a},{b}) collides at this weight"
+                )
+            term *= (qa - q ** pair_b_minus(b)) / den
+        total += term
+    return total
+
+
+def outcome(f, *args):
+    """The exact value (checked to be a Fraction) or the degenerate point's
+    message."""
+    try:
+        value = f(*args)
+    except DegenerateEvaluation as exc:
+        return ("degenerate", str(exc))
+    assert type(value) is Fraction
+    return value
+
+
+# -- the shared table --------------------------------------------------------
+
+
+@pytest.mark.parametrize("x", [Fraction(3), Fraction(-2, 3), Fraction(5, 4), Fraction(1, 7)])
+@pytest.mark.parametrize(
+    "exps", [range(-5, 5), [0], range(2, 7), range(-6, -1), [-3, 0], [0, 3, 1], [-9, 4, 40]]
+)
+def test_cleared_powers_is_every_power_over_one_denominator(x, exps):
+    t, num, den = _cleared_powers(x, exps)
+    assert sorted(t) == sorted(set(exps))
+    assert all(type(v) is int for v in t.values())
+    for k in exps:
+        assert Fraction(t[k] * num, den) == x**k
+
+
+# -- QLaurent.evaluate -------------------------------------------------------
+
+
+def test_evaluate_at_an_integer_with_negative_exponents_stays_a_fraction():
+    # int ** negative is a float; the value must stay exact
+    value = QLaurent({-4: -3, -8: -1, -3: -1}).evaluate(3)
+    assert value == Fraction(-487, 6561)
+    assert type(value) is Fraction
+
+
+def _qlaurent_cases():
+    rng = random.Random(12)
+    cases = [QLaurent(), QLaurent({0: 5}), Q_COEFF, QLaurent({9: 1, 13: -2})]
+    cases += [hc_denominator(ell) for ell in range(4)]
+    for _ in range(12):
+        cases.append(QLaurent({
+            rng.randint(-20, 20): Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            for _ in range(rng.randint(1, 6))
+        }))
+    return cases
+
+
+@pytest.mark.parametrize("s", S_VALUES + (1, -1))
+def test_qlaurent_evaluate_matches_the_literal_sum(s):
+    for x in _qlaurent_cases():
+        value = x.evaluate(s)
+        assert type(value) is Fraction
+        assert value == literal_qlaurent_value(x, s)
+
+
+# -- GAElem.specialize ---------------------------------------------------------
+
+
+def _bodies(name):
+    rs = SYSTEMS[name]
+    bodies = [ch_g_via_antisym(rs, k).body for k in range(rs.rank + 1)]
+    bodies.append(hc_combination(rs, 2))
+    spin = "1/2," * (rs.rank - 1) + ("-1/2" if rs.lie_type is LieType.D else "1/2")
+    if rs.lie_type is not LieType.C:
+        bodies.append(weyl_character(rs, _weight(spin)))
+    # q-dependent Fraction coefficients
+    bodies += [b.scale(Q_COEFF) for b in bodies[1:3]]
+    return bodies
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_specialize_matches_the_per_term_product(name):
+    rank = SYSTEMS[name].rank
+    for body in _bodies(name):
+        for point in POINTS:
+            pt = point[:rank]
+            literal = literal_specialize(body, pt)
+            assert body.specialize(pt) == literal
+            for s in S_VALUES:
+                value = body.evaluate(s, pt)
+                assert type(value) is Fraction
+                assert value == literal_qlaurent_value(literal, s)
+
+
+# -- eigenvalue_direct ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_eigenvalue_direct_matches_the_literal_sum(name):
+    rs = SYSTEMS[name]
+    degenerate = 0
+    for text in WEIGHTS[name]:
+        lam = _weight(text)
+        for ell in range(rs.rank + 1):
+            for s in S_VALUES + (1, -1):
+                got = outcome(eigenvalue_direct, rs, lam, ell, s)
+                assert got == outcome(literal_eigenvalue_direct, rs, lam, ell, s)
+                degenerate += isinstance(got, tuple)
+    assert degenerate  # the comparison reaches the degenerate points too
+
+
+# -- degenerate and malformed points --------------------------------------------
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2])
+def test_eigenvalue_direct_at_q_zero_is_degenerate(ell):
+    rs = SYSTEMS["B2"]
+    with pytest.raises(DegenerateEvaluation, match="q must avoid 0"):
+        eigenvalue_direct(rs, _weight("1,1"), ell, 0)
+
+
+def test_c0_rational_eval_at_q_zero_is_degenerate():
+    with pytest.raises(DegenerateEvaluation, match="q = 0"):
+        c0_rational_eval(SYSTEMS["B3"], 1, 0, [2, 3, 5])
+
+
+@pytest.mark.parametrize("oracle", [g_rational_eval, c0_rational_eval])
+def test_rational_oracles_reject_a_point_of_the_wrong_length(oracle):
+    with pytest.raises(GridMismatch):
+        oracle(SYSTEMS["B3"], 1, 2, [2, 3])

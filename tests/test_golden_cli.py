@@ -72,6 +72,25 @@ def _commands() -> list[tuple[str, ...]]:
     for t, n in (("C", "3"), ("D", "4")):
         for fmt in ("json", "text"):
             cmds.append(("solve-basis", "--type", t, "--rank", n, "--format", fmt))
+    # Evaluation at exact points: a spin weight, a negative last coordinate,
+    # s below 1, the classical point s = 1, negative s, and ell = 0.
+    for t, n, lam, ell, s in (
+        ("B", "3", "3/2,1/2,1/2", "2", "2"),
+        ("D", "4", "2,1,1,-1", "2", "3"),
+        ("C", "3", "2,1,0", "2", "1/2"),
+        ("C", "3", "2,1,0", "2", "1"),
+        ("C", "3", "2,1,0", "2", "-2"),
+        ("C", "3", "2,1,0", "0", "2"),
+    ):
+        for fmt in ("json", "text"):
+            cmds.append(
+                ("eig", "--type", t, "--rank", n, "--lambda", lam,
+                 "--ell", ell, "--s", s, "--format", fmt)
+            )
+    cmds.append(
+        ("char", "--type", "D", "--rank", "4", "--lambda", "3/2,1/2,1/2,1/2",
+         "--format", "json")
+    )
     return cmds
 
 
@@ -163,6 +182,19 @@ GOLDEN: dict[tuple[str, ...], tuple[int, str]] = {
     ('solve-basis', '--type', 'C', '--rank', '3', '--format', 'text'): (0, 'c140bf9ccfa0fce3cd7193613d7366e3b3bd4ff8a69cae548d14664bce4b54ac'),
     ('solve-basis', '--type', 'D', '--rank', '4', '--format', 'json'): (0, 'd0069b32f645e0ffe5e02295764dda28739a7ebaa417242ef33ff9e69ae70b4c'),
     ('solve-basis', '--type', 'D', '--rank', '4', '--format', 'text'): (0, '91464b502ada775d31dfc06e4d886ecedd838d63e196360d093ff87a6dc0d50b'),
+    ('eig', '--type', 'B', '--rank', '3', '--lambda', '3/2,1/2,1/2', '--ell', '2', '--s', '2', '--format', 'json'): (0, 'b2465da7937f80f9e57d965817df55b0c9049329ac6fa6a1bb88c04ad34459d6'),
+    ('eig', '--type', 'B', '--rank', '3', '--lambda', '3/2,1/2,1/2', '--ell', '2', '--s', '2', '--format', 'text'): (0, 'f91a8786faed8cf014bb9ca8409093f3763d55e1162ce0ad04011859227223a2'),
+    ('eig', '--type', 'D', '--rank', '4', '--lambda', '2,1,1,-1', '--ell', '2', '--s', '3', '--format', 'json'): (0, '5062227198a8ad5406ccbbbbd9f5315be7a50cc0da2e9f37d17da00a9867550d'),
+    ('eig', '--type', 'D', '--rank', '4', '--lambda', '2,1,1,-1', '--ell', '2', '--s', '3', '--format', 'text'): (0, '0b669dc025afc705b1bfdeb04fd248d25bc412326b9709e43f0fca4e97269b6c'),
+    ('eig', '--type', 'C', '--rank', '3', '--lambda', '2,1,0', '--ell', '2', '--s', '1/2', '--format', 'json'): (0, '3d4f23386c8a812f5de515d2b912c4e52544a8d58fd8d3691aa4c7d766c7da4b'),
+    ('eig', '--type', 'C', '--rank', '3', '--lambda', '2,1,0', '--ell', '2', '--s', '1/2', '--format', 'text'): (0, 'b70fdbbcc3c6ecf8ff77a200051946dde36cc6ec2f0dc31192e75f999c9682f1'),
+    ('eig', '--type', 'C', '--rank', '3', '--lambda', '2,1,0', '--ell', '2', '--s', '1', '--format', 'json'): (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('eig', '--type', 'C', '--rank', '3', '--lambda', '2,1,0', '--ell', '2', '--s', '1', '--format', 'text'): (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    ('eig', '--type', 'C', '--rank', '3', '--lambda', '2,1,0', '--ell', '2', '--s', '-2', '--format', 'json'): (0, '0ab3244a24799aef3cbd7c072c0fcd41bf6e160b24f9e72a6d89e4f339a86052'),
+    ('eig', '--type', 'C', '--rank', '3', '--lambda', '2,1,0', '--ell', '2', '--s', '-2', '--format', 'text'): (0, 'ff7c6a8d068eecf7fed4f068519d7dc3100c958e61792e31ed48d7a22a32da58'),
+    ('eig', '--type', 'C', '--rank', '3', '--lambda', '2,1,0', '--ell', '0', '--s', '2', '--format', 'json'): (0, '42d37f9986b2a59d735d88c4acfcde562f3fb240103b263812151723afccab51'),
+    ('eig', '--type', 'C', '--rank', '3', '--lambda', '2,1,0', '--ell', '0', '--s', '2', '--format', 'text'): (0, 'ada42771ab6d513d0d74b2ec22074a218ea7062197557c8059aeecd494e2a0f4'),
+    ('char', '--type', 'D', '--rank', '4', '--lambda', '3/2,1/2,1/2,1/2', '--format', 'json'): (0, 'b84232749f8c03fb8d9d16e64a3b1504b6d9d637d95e708e35858ef92c707b32'),
 }
 
 
