@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from math import comb
 from operator import mul
 from typing import Sequence
@@ -118,17 +118,12 @@ def chamber_form(rs: RootSystem, k: int) -> GAElem:
     return straighten(x, rs)
 
 
-_chg_cache: dict[tuple, GAElem] = {}
-
-
+@cache
 def ch_g_via_antisym(rs: RootSystem, k: int) -> CasimirImage:
     """Block character via the antisymmetrizer route: q^{c_n - 1} A(H_{n,k})
     / Delta (plus q^{-k} in type B), as the character sum of its
     :func:`chamber_form`, without forming A(H_{n,k}) or dividing it."""
-    key = (rs.lie_type, rs.rank, k, "antisym")
-    body = _chg_cache.get(key)
-    if body is None:
-        body = _chg_cache[key] = character_sum(chamber_form(rs, k), rs)
+    body = character_sum(chamber_form(rs, k), rs)
     return CasimirImage(rs.lie_type, rs.rank, k, body, "prop4_3")
 
 
@@ -190,13 +185,11 @@ def hook_chamber(rs: RootSystem, k: int) -> GAElem:
     return GAElem._flat(rs.rank, _clean(terms))
 
 
+@cache
 def ch_g_via_hooks(rs: RootSystem, k: int) -> CasimirImage:
     """Block character via the signed hook-character expansion: the sum of
     c_nu chi_{nu - rho} over :func:`hook_chamber`."""
-    key = (rs.lie_type, rs.rank, k, "hooks")
-    body = _chg_cache.get(key)
-    if body is None:
-        body = _chg_cache[key] = character_sum(hook_chamber(rs, k), rs)
+    body = character_sum(hook_chamber(rs, k), rs)
     return CasimirImage(rs.lie_type, rs.rank, k, body, "hook_expansion")
 
 
@@ -216,27 +209,21 @@ def closed_form_g1(rs: RootSystem) -> GAElem:
     return natural_character(rs).scale(QLaurent.monomial(4 * (rs.c_n - 1)))
 
 
-_hc_cache: dict[tuple, GAElem] = {}
-
-
+@cache
 def hc_combination(rs: RootSystem, ell: int) -> GAElem:
     """The binomial combination sum over k of C(ell,k) (-q^{1-c_n})^k times
     the k-th block character: (q^{-1} - q)^ell times the torus image."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    key = (rs.lie_type, rs.rank, ell)
-    body = _hc_cache.get(key)
-    if body is None:
-        body = GAElem.zero(rs.rank)
-        minus_qpow = QLaurent.monomial(4 * (1 - rs.c_n), -1)  # -q^{1-c_n}
-        for k in range(ell + 1):
-            factor = minus_qpow**k * comb(ell, k)
-            body = body + ch_g_via_antisym(rs, k).body.scale(factor)
-        _hc_cache[key] = body
+    body = GAElem.zero(rs.rank)
+    minus_qpow = QLaurent.monomial(4 * (1 - rs.c_n), -1)  # -q^{1-c_n}
+    for k in range(ell + 1):
+        factor = minus_qpow**k * comb(ell, k)
+        body = body + ch_g_via_antisym(rs, k).body.scale(factor)
     return body
 
 
-@lru_cache(maxsize=None)
+@cache
 def hc_denominator(ell: int) -> QLaurent:
     """(q^{-1} - q)^ell."""
     return QLaurent({-4: 1, 4: -1}) ** ell

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from collections import Counter
 from itertools import permutations, product
 from operator import add, itemgetter, mul, sub
@@ -73,6 +73,7 @@ from .roots import (
     LieType,
     RootSystem,
     Weight,
+    eps,
 )
 
 
@@ -449,14 +450,13 @@ def straighten(x: GAElem, rs: RootSystem) -> GAElem:
     return x._like(_clean(res))
 
 
-@lru_cache(maxsize=None)
-def _orbit_getters(lie: LieType, n: int) -> tuple:
+@cache
+def _orbit_getters(rs: RootSystem) -> tuple:
     """[(gather, sgn(w))] over the group: gather(key + -key) is w(key), read
     off one tuple by C-level indexing."""
-    from .roots import build_root_system
-
+    n = rs.rank
     out = []
-    for w in enumerate_weyl(build_root_system(lie, n)):
+    for w in enumerate_weyl(rs):
         src = [0] * n
         for i, (p, s) in enumerate(zip(w.perm, w.signs)):
             src[p - 1] = i if s > 0 else i + n
@@ -472,7 +472,7 @@ def _orbit_expand(chamber: GAElem, rs: RootSystem) -> GAElem:
     distinct ones have disjoint orbits, so every image is stored once, with
     no coefficient added.
     """
-    getters = _orbit_getters(rs.lie_type, rs.rank)
+    getters = _orbit_getters(rs)
     res: dict[tuple, Coeff] = {}
     for key, c in chamber.terms.items():
         w, e = key[:-1], key[-1:]
@@ -494,20 +494,13 @@ def alternant(rs: RootSystem, lam: Weight) -> GAElem:
     return _orbit_expand(straighten(GAElem.exponential(lam), rs), rs)
 
 
-@lru_cache(maxsize=None)
-def _denominator_cached(lie: LieType, n: int) -> GAElem:
-    from .roots import build_root_system
-
-    rs = build_root_system(lie, n)
-    return alternant(rs, rs.rho)
-
-
+@cache
 def weyl_denominator(rs: RootSystem, mode: str = "alternant") -> GAElem:
     """The standard denominator, as the rho-alternant or as the product of
     (e^(alpha/2) - e^(-alpha/2)) over positive roots.  Equality of the two
     modes is a mandatory identity exercised by the test suite."""
     if mode == "alternant":
-        return _denominator_cached(rs.lie_type, rs.rank)
+        return alternant(rs, rs.rho)
     if mode != "product":
         raise ValueError(f"unknown mode {mode!r}")
     res = GAElem.one(rs.rank)
@@ -649,9 +642,7 @@ def _distinct_permutations(values: tuple):
     return extend()
 
 
-_char_cache: dict[tuple, GAElem] = {}
-
-
+@cache
 def weyl_character(rs: RootSystem, lam: Weight) -> GAElem:
     """Character of the simple module with highest weight lam: the
     Freudenthal multiplicities of :func:`dominant_multiplicities`, each
@@ -659,19 +650,13 @@ def weyl_character(rs: RootSystem, lam: Weight) -> GAElem:
     divided and the Weyl group is never enumerated, so any rank works; the
     alternant quotient ``divide_by_denominator(alternant(rs, lam + rho),
     rs)`` is the oracle it must equal."""
-    key = (rs.lie_type, rs.rank, lam.dbl)
-    cached = _char_cache.get(key)
-    if cached is not None:
-        return cached
     rs.check_highest_weight(lam)
     type_d = rs.lie_type is LieType.D
     terms: dict[tuple, int] = {}
     for mu, m in dominant_multiplicities(rs, lam).items():
         for image in _orbit(mu, type_d):
             terms[image + (0,)] = m
-    chi = GAElem._flat(rs.rank, terms)
-    _char_cache[key] = chi
-    return chi
+    return GAElem._flat(rs.rank, terms)
 
 
 def character_sum(chamber: GAElem, rs: RootSystem) -> GAElem:
@@ -689,19 +674,16 @@ def character_sum(chamber: GAElem, rs: RootSystem) -> GAElem:
     return GAElem._flat(rs.rank, _clean(terms))
 
 
-@lru_cache(maxsize=None)
-def _ext_power_chars(lie: LieType, n: int) -> tuple[GAElem, ...]:
-    from .roots import build_root_system, eps
-
-    rs = build_root_system(lie, n)
-    d = rs.dim_natural
+@cache
+def _ext_power_chars(rs: RootSystem) -> tuple[GAElem, ...]:
+    n, d = rs.rank, rs.dim_natural
     # coefficient list in t of prod (1 + t e^{+-eps_i}) (times (1+t) in type B)
     coeffs: list[GAElem] = [GAElem.one(n)]
     factors: list[GAElem] = []
     for i in range(1, n + 1):
         factors.append(GAElem.exponential(eps(n, i)))
         factors.append(GAElem.exponential(eps(n, -i)))
-    if lie is LieType.B:
+    if rs.lie_type is LieType.B:
         factors.append(GAElem.one(n))
     for f in factors:
         new = [GAElem.zero(n)] * (len(coeffs) + 1)
@@ -718,7 +700,7 @@ def ext_power_char(rs: RootSystem, r: int) -> GAElem:
     outside 0..dim(V) by convention."""
     if r < 0 or r > rs.dim_natural:
         return GAElem.zero(rs.rank)
-    return _ext_power_chars(rs.lie_type, rs.rank)[r]
+    return _ext_power_chars(rs)[r]
 
 
 def is_w_invariant(x: GAElem, rs: RootSystem) -> bool:
@@ -731,8 +713,6 @@ def natural_character(rs: RootSystem) -> GAElem:
     """Orbit-sum construction of the character of the natural module: the
     sum of e^mu over its known weight list (+-eps_i, plus 0 in type B).
     Independent of the alternant route; used as an oracle."""
-    from .roots import eps
-
     res: dict[tuple, QLaurent] = {}
     for a in rs.iprime:
         res[eps(rs.rank, a).dbl] = QL_ONE

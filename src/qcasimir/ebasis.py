@@ -59,15 +59,6 @@ def conjugate_partition(parts: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class EBasisExpr:
-    """A polynomial in the folded symbols E_1..E_n plus the folding record
-    (requested index, index actually used) applied while building it."""
-
-    poly: EPoly
-    foldings: tuple[tuple[int, int], ...] = ()
-
-
 def _halve(x: EPoly, context: str) -> EPoly:
     out = {}
     for k, v in x.terms.items():
@@ -81,38 +72,21 @@ def _halve(x: EPoly, context: str) -> EPoly:
     return x._like(out)
 
 
-class _ESymbols:
-    """Folded exterior-power entries over the abstract symbol ring."""
-
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
-        self.foldings: list[tuple[int, int]] = []
-
-    def entry(self, idx: int) -> EPoly:
-        n, d = self.rs.rank, self.rs.dim_natural
-        if idx < 0 or idx > d:
-            return EPoly.zero(n)
-        if idx > n:
-            folded = d - idx
-            self.foldings.append((idx, folded))
-            idx = folded
-        if idx == 0:
-            return EPoly.one(n)
-        return EPoly.symbol(n, idx)
+def _e_symbol(rs: RootSystem, idx: int) -> EPoly:
+    """The entry e_idx as an abstract symbol, folded by e_r = e_{d-r} above
+    n.  Over the group algebra the entry is ``ext_power_char``, which
+    satisfies that symmetry on the nose."""
+    n, d = rs.rank, rs.dim_natural
+    if idx < 0 or idx > d:
+        return EPoly.zero(n)
+    if idx > n:
+        idx = d - idx
+    if idx == 0:
+        return EPoly.one(n)
+    return EPoly.symbol(n, idx)
 
 
-class _GASymbols:
-    """The same entries over the group algebra (no folding needed: the
-    exterior-power characters satisfy the symmetry on the nose)."""
-
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
-
-    def entry(self, idx: int) -> GAElem:
-        return ext_power_char(self.rs, idx)
-
-
-def _jt_matrix(rs: RootSystem, parts: tuple[int, ...], symbols) -> list[list]:
+def _jt_matrix(rs: RootSystem, parts: tuple[int, ...], entry) -> list[list]:
     lam_conj = conjugate_partition(parts)
     size = parts[0]
     rows = []
@@ -121,11 +95,11 @@ def _jt_matrix(rs: RootSystem, parts: tuple[int, ...], symbols) -> list[list]:
         lam_i = lam_conj[i - 1] if i <= len(lam_conj) else 0
         row = []
         for j in range(1, size + 1):
-            first = symbols.entry(lam_i - i + j)
+            first = entry(rs, lam_i - i + j)
             if plus:
-                row.append(first + symbols.entry(lam_i - i - j + 2))
+                row.append(first + entry(rs, lam_i - i - j + 2))
             else:
-                row.append(first - symbols.entry(lam_i - i - j))
+                row.append(first - entry(rs, lam_i - i - j))
         rows.append(row)
     return rows
 
@@ -134,8 +108,8 @@ def jt_character(rs: RootSystem, parts, target: str = "ga"):
     """Determinantal character of the partition ``parts``.
 
     ``target='ga'`` returns the GAElem built from actual exterior-power
-    characters; ``target='e'`` returns an :class:`EBasisExpr` over the
-    abstract symbols.  In types B and D every coefficient of the determinant
+    characters; ``target='e'`` returns the EPoly over the abstract folded
+    symbols E_1..E_n.  In types B and D every coefficient of the determinant
     must be even before the global halving; an odd one raises
     :class:`HalvingFailed`.
     """
@@ -150,20 +124,13 @@ def jt_character(rs: RootSystem, parts, target: str = "ga"):
         )
     halve = rs.lie_type in (LieType.B, LieType.D)
     context = f"{rs.lie_type.value}{rs.rank} partition {parts}"
-    if target == "ga":
-        if not parts:
-            return GAElem.one(rs.rank)
-        det = det_exact(_jt_matrix(rs, parts, _GASymbols(rs)))
-        return _halve(det, context) if halve else det
-    if target != "e":
+    if target not in ("ga", "e"):
         raise ValueError(f"unknown target {target!r}")
     if not parts:
-        return EBasisExpr(EPoly.one(rs.rank))
-    syms = _ESymbols(rs)
-    det = det_exact(_jt_matrix(rs, parts, syms))
-    if halve:
-        det = _halve(det, context)
-    return EBasisExpr(det, tuple(syms.foldings))
+        return (GAElem if target == "ga" else EPoly).one(rs.rank)
+    entry = ext_power_char if target == "ga" else _e_symbol
+    det = det_exact(_jt_matrix(rs, parts, entry))
+    return _halve(det, context) if halve else det
 
 
 def hook_matrix_printed(rs: RootSystem, k: int, r: int) -> list[list]:
@@ -173,7 +140,6 @@ def hook_matrix_printed(rs: RootSystem, k: int, r: int) -> list[list]:
     determinant in types B/D, and the general one in type C."""
     if not (k - r >= 1 and 0 <= r <= rs.rank - 1):
         raise IndexOutOfRange("need k-r >= 1 and 0 <= r <= n-1")
-    symbols = _GASymbols(rs)
     plus = rs.lie_type in (LieType.B, LieType.D)
     size = k - r
     rows = []
@@ -185,20 +151,20 @@ def hook_matrix_printed(rs: RootSystem, k: int, r: int) -> list[list]:
                     # the j = 1 entry of the general matrix is 2 e_{r+1};
                     # the printed form carries the halving in column 1
                     if j == 1:
-                        row.append(symbols.entry(r + 1))
+                        row.append(ext_power_char(rs, r + 1))
                     else:
                         row.append(
-                            symbols.entry(r + j) + symbols.entry(r + 2 - j)
+                            ext_power_char(rs, r + j) + ext_power_char(rs, r + 2 - j)
                         )
                 else:
-                    row.append(symbols.entry(r + j) - symbols.entry(r - j))
+                    row.append(ext_power_char(rs, r + j) - ext_power_char(rs, r - j))
             else:
-                row.append(symbols.entry(j - i + 1))
+                row.append(ext_power_char(rs, j - i + 1))
         rows.append(row)
     return rows
 
 
-def g_in_e_basis(rs: RootSystem, k: int) -> EBasisExpr:
+def g_in_e_basis(rs: RootSystem, k: int) -> EPoly:
     """The k-th block character written in the folded symbols E_1..E_n.
 
     Valid for 1 <= k <= n.  Each entry of ``casimir.hook_terms`` contributes
@@ -211,7 +177,6 @@ def g_in_e_basis(rs: RootSystem, k: int) -> EBasisExpr:
     if not 1 <= k <= n:
         raise IndexOutOfRange(f"k must lie in 1..{n}")
     total = EPoly.zero(n)
-    foldings: list[tuple[int, int]] = []
     for sign, qexp, weights in hook_terms(rs, k):
         if not weights:
             term = EPoly.one(n)
@@ -219,11 +184,9 @@ def g_in_e_basis(rs: RootSystem, k: int) -> EBasisExpr:
             # chi(hook) + chi(barred hook) is exactly the n-th exterior power
             term = EPoly.symbol(n, n)
         else:
-            expr = jt_character(rs, weights[0].coords, target="e")
-            foldings.extend(expr.foldings)
-            term = expr.poly
+            term = jt_character(rs, weights[0].coords, target="e")
         total = total + term.scale(QLaurent.monomial(qexp, sign))
-    return EBasisExpr(total, tuple(foldings))
+    return total
 
 
 @dataclass(frozen=True)
@@ -269,7 +232,7 @@ def triangular_solve(rs: RootSystem) -> TriangularSolution:
     entries = []
     e_key = lambda k: tuple(1 if i == k - 1 else 0 for i in range(n))
     for k in range(1, n + 1):
-        ghat = g_in_e_basis(rs, k).poly
+        ghat = g_in_e_basis(rs, k)
         b_k = ghat.coeff(e_key(k))
         if not b_k:
             raise SingularLeadingCoefficient(
@@ -320,7 +283,7 @@ def round_trip_ok(rs: RootSystem, sol: TriangularSolution, k: int) -> bool:
     """Substituting the E-basis expressions of the blocks into the k-th
     solution must reproduce den * E_k exactly."""
     n = rs.rank
-    ghats = [g_in_e_basis(rs, j).poly for j in range(1, n + 1)]
+    ghats = [g_in_e_basis(rs, j) for j in range(1, n + 1)]
     entry = sol.entry(k)
     value = entry.num.substitute(ghats, EPoly.one(n))
     return value == EPoly.symbol(n, k, entry.den)

@@ -476,6 +476,8 @@ class QLaurent(EPoly):
         return super().__eq__(other)
 
     def __hash__(self):
+        if set(self.terms) <= {(0,)}:  # a constant hashes like its rational
+            return hash(self.terms.get((0,), 0))
         return hash(frozenset(self.terms.items()))
 
     def evaluate(self, s: Coeff) -> Fraction:

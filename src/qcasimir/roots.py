@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Sequence
 
 
@@ -184,8 +184,12 @@ def _fundamental_weights(lie: LieType, n: int) -> tuple[Weight, ...]:
     return tuple(fws)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootSystem:
+    """The root data of one (type, rank).  :func:`build_root_system` makes
+    exactly one instance per (type, rank), so a system compares and hashes
+    by identity, and per-system tables are cached with it as their key."""
+
     lie_type: LieType
     rank: int
     positive_roots: tuple[Weight, ...]
@@ -272,8 +276,8 @@ class RootSystem:
         }
 
 
-@lru_cache(maxsize=None)
-def build_root_system(lie: LieType, n: int) -> RootSystem:
+@cache
+def build_root_system(lie: LieType, n: int, /) -> RootSystem:
     lie = LieType(lie)
     if n < MIN_RANK[lie]:
         raise RankTooSmall(

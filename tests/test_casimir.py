@@ -73,6 +73,17 @@ def ql(coeffs):
     return QLaurent({4 * e: c for e, c in coeffs.items()})
 
 
+def test_repeated_calls_return_the_cached_object():
+    # the caches key on the one RootSystem per (type, rank) and on equal
+    # arguments, however the system and the weight were obtained
+    same_b3 = build_root_system("B", 3)
+    lam = partition_to_weight(B3, (2, 1))
+    assert weyl_character(same_b3, Weight(lam.dbl)) is weyl_character(B3, lam)
+    assert ch_g_via_antisym(same_b3, 2) is ch_g_via_antisym(B3, 2)
+    assert ch_g_via_hooks(same_b3, 2) is ch_g_via_hooks(B3, 2)
+    assert hc_combination(same_b3, 2) is hc_combination(B3, 2)
+
+
 class TestAuxiliaryElement:
     def test_b2_term_count(self):
         # three binomial factors, all eight subset monomials distinct

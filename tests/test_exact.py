@@ -81,6 +81,15 @@ class TestQLaurent:
         a = ql({3: Fraction(2, 3), -2: -1})
         assert QLaurent.from_json(a.to_json()) == a
 
+    def test_constants_hash_like_their_rationals(self):
+        for c in (5, Fraction(5), Fraction(-2, 3), 0):
+            assert QLaurent.rational(c) == c
+            assert hash(QLaurent.rational(c)) == hash(c)
+        assert hash(QLaurent.zero()) == hash(0)
+        assert len({QLaurent.rational(5), 5}) == 1
+        assert len({QLaurent.zero(), 0, Fraction(0)}) == 1
+        assert len({ql({1: 5}), 5}) == 2
+
     @given(qlaurents, qlaurents, qlaurents)
     @settings(max_examples=60, deadline=None)
     def test_ring_axioms(self, a, b, c):

@@ -7,6 +7,7 @@ import pytest
 from qcasimir.roots import (
     BarNotApplicable,
     IndexOutOfRange,
+    MIN_RANK,
     LieType,
     NotDominant,
     NotOnWeightLattice,
@@ -27,6 +28,20 @@ B3 = build_root_system(LieType.B, 3)
 C3 = build_root_system(LieType.C, 3)
 D4 = build_root_system(LieType.D, 4)
 ALL = (B2, B3, C3, D4)
+
+
+def test_one_root_system_per_type_and_rank():
+    # every per-system cache keys on the instance, hashed by identity
+    for lie in LieType:
+        n = MIN_RANK[lie]
+        rs = build_root_system(lie, n)
+        assert build_root_system(lie.value, n) is rs
+        assert build_root_system(LieType(lie.value), n) is rs
+        assert hash(rs) == object.__hash__(rs)
+    assert B3 != C3 and B3 != build_root_system(LieType.B, 4)
+    assert len({B2, B3, C3, D4, build_root_system("B", 3)}) == 4
+    with pytest.raises(TypeError):  # a keyword call would key a second entry
+        build_root_system(lie=LieType.B, n=2)
 
 
 def test_rank_constraints():
