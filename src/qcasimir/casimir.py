@@ -319,64 +319,86 @@ def hc_value(
 
 # ---------------------------------------------------------------------------
 # numeric oracle: the rational forms evaluated at exact points
+#
+# With q = Q/R and each L_a = p_a/r_a held as a pair of ints, every factor of
+# the rational forms is a ratio of ints, so each index a contributes one
+# Fraction.  No symbolic object is involved: this route stays independent of
+# both block constructions.
 # ---------------------------------------------------------------------------
 
 
-def _l_table(rs: RootSystem, half_point: Sequence[Coeff]) -> dict[int, Fraction]:
-    """L_a for a in {-n..-1,1..n} from the values of e^{eps_a/2}."""
+def _l_table(
+    rs: RootSystem, half_point: Sequence[Coeff]
+) -> dict[int, tuple[int, int]]:
+    """L_a for a in {-n..-1,1..n} from the values u of e^{eps_a/2}, as the
+    int pair (p_a, r_a) with L_a = p_a / r_a: (num(u)^2, den(u)^2) for
+    a > 0, swapped for -a."""
     if len(half_point) != rs.rank:
         raise GridMismatch("point length differs from rank")
-    table: dict[int, Fraction] = {}
+    table: dict[int, tuple[int, int]] = {}
     for i, u in enumerate(half_point, start=1):
         u = Fraction(u)
         if u == 0:
             raise DegenerateEvaluation("zero point entry")
-        table[i] = u * u
-        table[-i] = 1 / (u * u)
+        p, r = u.numerator ** 2, u.denominator ** 2
+        table[i] = (p, r)
+        table[-i] = (r, p)
     return table
 
 
 def _pref_and_p(
-    rs: RootSystem, lvals: dict[int, Fraction], q: Fraction, a: int
-) -> Fraction:
-    """prefactor(a) * P_{n,a} of the rational block form."""
-    la = lvals[a]
-    inv = 1 / la
-    if la == inv:
+    rs: RootSystem, lvals: dict[int, tuple[int, int]], Q: int, R: int, a: int
+) -> tuple[int, int]:
+    """prefactor(a) * P_{n,a} of the rational block form at q = Q/R, as
+    ints (num, den).  Each factor (q L_a - L_b/q) / (L_a - L_b) of P_{n,a}
+    is (Q^2 p_a r_b - R^2 p_b r_a) / (QR (p_a r_b - p_b r_a)); the
+    prefactor is (Q^2 p_a^2 - R^2 r_a^2 + (Q^2 - R^2) p_a r_a) / (QR (p_a^2
+    - r_a^2)) in type B, (Q^4 p_a^2 - R^4 r_a^2) / (Q^2 R^2 (p_a^2 -
+    r_a^2)) in type C and 1 in type D."""
+    pa, ra = lvals[a]
+    if pa == ra:  # p, r > 0: L_a = 1/L_a
         raise DegenerateEvaluation("L_a on the unit circle: L_a = 1/L_a")
+    QQ, RR = Q * Q, R * R
     if rs.lie_type is LieType.B:
-        pref = (q * la - inv / q + q - 1 / q) / (la - inv)
+        num = QQ * pa * pa - RR * ra * ra + (QQ - RR) * pa * ra
+        den = Q * R * (pa * pa - ra * ra)
     elif rs.lie_type is LieType.C:
-        pref = (q * q * la - inv / (q * q)) / (la - inv)
+        num = (QQ * pa) ** 2 - (RR * ra) ** 2
+        den = QQ * RR * (pa * pa - ra * ra)
     else:
-        pref = Fraction(1)
-    prod = pref
-    for b in lvals:
+        num = den = 1
+    qp, rr = QQ * pa, RR * ra
+    for b, (pb, rb) in lvals.items():
         if b == a or b == -a:
             continue
-        den = la - lvals[b]
-        if den == 0:
+        d = pa * rb - pb * ra
+        if d == 0:
             raise DegenerateEvaluation(f"L_{a} collides with L_{b}")
-        prod *= (q * la - lvals[b] / q) / den
-    return prod
+        num *= qp * rb - rr * pb
+        den *= d
+    return num, den * (Q * R) ** (2 * rs.rank - 2)
 
 
 def g_rational_eval(
     rs: RootSystem, k: int, s: Coeff, half_point: Sequence[Coeff]
 ) -> Fraction:
     """Value of the raw rational block G_{n,k} at L_a := half_point[a]^2,
-    q := s^4.  Independent of the symbolic constructions."""
+    q := s^4: the sum over a of prefactor(a) P_{n,a} L_a^k (plus q^{-k} in
+    type B), one Fraction per index.  Independent of the symbolic
+    constructions."""
     if k < 0:
         raise ValueError("k must be >= 0")
     q = Fraction(s) ** 4
     if q == 0:
         raise DegenerateEvaluation("q = 0")
+    Q, R = q.numerator, q.denominator
     lvals = _l_table(rs, half_point)
     total = Fraction(0)
-    for a in lvals:
-        total += _pref_and_p(rs, lvals, q, a) * lvals[a] ** k
+    for a, (pa, ra) in lvals.items():
+        num, den = _pref_and_p(rs, lvals, Q, R, a)
+        total += Fraction(num * pa**k, den * ra**k)
     if rs.lie_type is LieType.B:
-        total += q ** (-k)
+        total += Fraction(R**k, Q**k)
     return total
 
 
@@ -384,29 +406,38 @@ def c0_rational_eval(
     rs: RootSystem, ell: int, s: Coeff, half_point: Sequence[Coeff]
 ) -> Fraction:
     """Value of the raw rational order-ell torus image at L_a :=
-    half_point[a]^2, q := s^4."""
+    half_point[a]^2, q := s^4: the sum over a of prefactor(a) P_{n,a}
+    core_a^ell, core_a = (q^shift L_a - 1) / (q - 1/q) (plus the constant
+    slot's core in type B), one Fraction per index."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
     q = Fraction(s) ** 4
     if q == 0:
         raise DegenerateEvaluation("q = 0")
+    Q, R = q.numerator, q.denominator
     lvals = _l_table(rs, half_point)
-    qdiff = q - 1 / q
-    if qdiff == 0:
+    if Q == R:  # q > 0: q - 1/q = 0 only at q = 1
         raise DegenerateEvaluation("q - 1/q = 0")
     n = rs.rank
     if rs.lie_type is LieType.B:
-        shift = q ** (1 - 2 * n)
+        shift = 1 - 2 * n
     elif rs.lie_type is LieType.C:
-        shift = q ** (-2 * n)
+        shift = -2 * n
     else:
-        shift = q ** (2 - 2 * n)
+        shift = 2 - 2 * n
+    # shift <= 0, so q^shift = sn / sd with sn = R^-shift, sd = Q^-shift:
+    # core_a = (sn p_a - sd r_a) QR / (sd r_a (Q^2 - R^2))
+    sn, sd = R**-shift, Q**-shift
+    qr, qdiff = Q * R, Q * Q - R * R
     total = Fraction(0)
-    for a in lvals:
-        core = (shift * lvals[a] - 1) / qdiff
-        total += _pref_and_p(rs, lvals, q, a) * core**ell
+    for a, (pa, ra) in lvals.items():
+        num, den = _pref_and_p(rs, lvals, Q, R, a)
+        core_num = (sn * pa - sd * ra) * qr
+        total += Fraction(num * core_num**ell, den * (sd * ra * qdiff) ** ell)
     if rs.lie_type is LieType.B:
-        total += ((q ** (-2 * n) - 1) / qdiff) ** ell
+        # (q^{-2n} - 1) / (q - 1/q)
+        core = Fraction((R ** (2 * n) - Q ** (2 * n)) * R, Q ** (2 * n - 1) * qdiff)
+        total += core**ell
     return total
 
 
@@ -455,46 +486,72 @@ def eigenvalue_direct(
         d = lam_rho.dbl[abs(b) - 1]
         return d - 1 if b > 0 else -d - 1
 
-    # Every factor below is a ratio of differences of q-powers, so on the
-    # cleared table p[k] = q^k * den / num the common factor cancels: each
-    # term is one ratio of integers.  Only the leading q^(c_n - (eps_a,
-    # eps_a)) keeps the factor, applied once to the sum.
-    aas = [pair_a(a) for a in rs.iprime]
-    exps = [0, 1, -1, 2, -2, rs.c_n - 1, rs.c_n, *map(pair_b_minus, rs.iprime)]
-    for x in aas:  # with the above, every exponent used below
-        exps += (x, 2 * x, x - 1, x + 1, x - rs.c_n)
-    p, num, den = _cleared_powers(q, exps)
-    one = p[0]
+    # Every factor below is a difference of q-powers, q^x - q^y = q^lo (q^d
+    # - 1) with lo = min(x, y) and d = |x - y|: over q = Q/R, the int
+    # +-(Q^d - R^d) times the monomial Q^lo / R^(lo + d).  Each term keeps
+    # the ints of its factors apart from the exponents of its monomial, so
+    # an int has the bit size of its own gap d, not of the whole exponent
+    # span, and each index gives one ratio of integers.
+    Q, R = q.numerator, q.denominator
+    gaps: dict[int, int] = {}
+
+    def diff(x: int, y: int) -> tuple[int, int, int]:
+        """q^x - q^y as (g, lo, hi), the value g * Q^lo / R^hi."""
+        lo, hi = (y, x) if x >= y else (x, y)
+        g = gaps.get(hi - lo)
+        if g is None:
+            g = gaps[hi - lo] = Q ** (hi - lo) - R ** (hi - lo)
+        return (g if x >= y else -g), lo, hi
+
+    pairs = [(b, pair_a(b), pair_b_minus(b)) for b in rs.iprime]
     total = Fraction(0)
-    for a, aa in zip(rs.iprime, aas):
-        # f(a) = f_num / f_den
+    for a, aa, _ in pairs:
+        # the term is num / den * Q^eq * R^er; first f(a) = num / den
         if a == 0:
-            f_num = f_den = 1
+            num = den = 1
+            eq = er = 0
         else:
-            f_den = p[2 * aa] - one
-            if f_den == 0:
+            if aa == 0:  # q^(2 aa) - 1 = 0
                 raise DegenerateEvaluation(f"f({a}) denominator vanishes")
+            den, lo, hi = diff(2 * aa, 0)
+            eq, er = -lo, hi
             if rs.lie_type is LieType.B:
-                f_num = f_den + p[aa + 1] - p[aa - 1]
-            elif rs.lie_type is LieType.C:
-                f_num = p[2 * aa] - p[-2]
+                # q^(2aa) + q^(aa+1) - q^(aa-1) - 1 = (q^aa - q^-1)(q^aa + q)
+                num, lo, hi = diff(aa, -1)
+                lo2, hi2 = min(aa, 1), max(aa, 1)
+                num *= Q ** (hi2 - lo2) + R ** (hi2 - lo2)
+                eq, er = eq + lo + lo2, er - hi - hi2
             else:
-                f_num = p[2 * aa] - p[2]
-        term = p[rs.c_n - (a != 0)] * f_num * (p[aa - rs.c_n] - one) ** ell
-        term_den = f_den
-        qa = p[aa]
-        for b, bb in zip(rs.iprime, aas):
+                num, lo, hi = diff(2 * aa, -2 if rs.lie_type is LieType.C else 2)
+                eq, er = eq + lo, er - hi
+        lead = rs.c_n - (a != 0)
+        g, lo, hi = diff(aa - rs.c_n, 0)
+        num *= g**ell
+        eq, er = eq + lead + ell * lo, er - lead - ell * hi
+        for b, bb, bb_minus in pairs:
             if b == a:
                 continue
-            d = qa - p[bb]
-            if d == 0:
+            if bb == aa:
                 raise DegenerateEvaluation(
                     f"index pair ({a},{b}) collides at this weight"
                 )
-            term *= qa - p[pair_b_minus(b)]
-            term_den *= d
-        total += Fraction(term, term_den)
-    return total * Fraction(num, den * (p[1] - p[-1]) ** ell)
+            g, lo, hi = diff(aa, bb_minus)
+            num *= g
+            eq, er = eq + lo, er - hi
+            g, lo, hi = diff(aa, bb)
+            den *= g
+            eq, er = eq - lo, er + hi
+        if eq >= 0:
+            num *= Q**eq
+        else:
+            den *= Q**-eq
+        if er >= 0:
+            num *= R**er
+        else:
+            den *= R**-er
+        total += Fraction(num, den)
+    # 1 / (q - 1/q)^ell = (QR)^ell / (Q^2 - R^2)^ell
+    return total * Fraction((Q * R) ** ell, diff(1, -1)[0] ** ell)
 
 
 def eigenvalue_via_hc(

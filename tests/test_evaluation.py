@@ -1,15 +1,19 @@
 """Exact evaluation at rational points, against literal Fraction oracles.
 
-QLaurent.evaluate, GAElem.specialize and eigenvalue_direct sum integer
-multiples of powers cleared to one common denominator, and divide at the
-end.  The oracles below keep the plain Fraction forms those kernels
-replaced: sum(c * s**e), the per-term product of point powers, and the
-term-by-term eigenvalue sum.  Each kernel must agree with its oracle
-exactly, return a Fraction, and raise DegenerateEvaluation on exactly the
-same inputs with the same message.
+QLaurent.evaluate and GAElem.specialize sum integer multiples of powers
+cleared to one common denominator, and divide at the end.
+eigenvalue_direct and the raw rational forms g_rational_eval and
+c0_rational_eval multiply integers and build one Fraction per index.  The
+oracles below keep the plain Fraction forms those kernels replaced:
+sum(c * s**e), the per-term product of point powers, the term-by-term
+eigenvalue sum and the Fraction bodies of the two rational forms.  Each
+kernel must agree with its oracle exactly, return a Fraction, and raise
+DegenerateEvaluation (or ValueError) on exactly the same inputs with the
+same message.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -144,13 +148,91 @@ def literal_eigenvalue_direct(rs, lam, ell, s):
     return total
 
 
+def _literal_l_table(rs, half_point):
+    """L_a for a in {-n..-1,1..n} from the values of e^{eps_a/2}."""
+    if len(half_point) != rs.rank:
+        raise GridMismatch("point length differs from rank")
+    table = {}
+    for i, u in enumerate(half_point, start=1):
+        u = Fraction(u)
+        if u == 0:
+            raise DegenerateEvaluation("zero point entry")
+        table[i] = u * u
+        table[-i] = 1 / (u * u)
+    return table
+
+
+def _literal_pref_and_p(rs, lvals, q, a):
+    """prefactor(a) * P_{n,a} of the rational block form."""
+    la = lvals[a]
+    inv = 1 / la
+    if la == inv:
+        raise DegenerateEvaluation("L_a on the unit circle: L_a = 1/L_a")
+    if rs.lie_type is LieType.B:
+        pref = (q * la - inv / q + q - 1 / q) / (la - inv)
+    elif rs.lie_type is LieType.C:
+        pref = (q * q * la - inv / (q * q)) / (la - inv)
+    else:
+        pref = Fraction(1)
+    prod = pref
+    for b in lvals:
+        if b == a or b == -a:
+            continue
+        den = la - lvals[b]
+        if den == 0:
+            raise DegenerateEvaluation(f"L_{a} collides with L_{b}")
+        prod *= (q * la - lvals[b] / q) / den
+    return prod
+
+
+def literal_g_rational_eval(rs, k, s, half_point):
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    q = Fraction(s) ** 4
+    if q == 0:
+        raise DegenerateEvaluation("q = 0")
+    lvals = _literal_l_table(rs, half_point)
+    total = Fraction(0)
+    for a in lvals:
+        total += _literal_pref_and_p(rs, lvals, q, a) * lvals[a] ** k
+    if rs.lie_type is LieType.B:
+        total += q ** (-k)
+    return total
+
+
+def literal_c0_rational_eval(rs, ell, s, half_point):
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    q = Fraction(s) ** 4
+    if q == 0:
+        raise DegenerateEvaluation("q = 0")
+    lvals = _literal_l_table(rs, half_point)
+    qdiff = q - 1 / q
+    if qdiff == 0:
+        raise DegenerateEvaluation("q - 1/q = 0")
+    n = rs.rank
+    if rs.lie_type is LieType.B:
+        shift = q ** (1 - 2 * n)
+    elif rs.lie_type is LieType.C:
+        shift = q ** (-2 * n)
+    else:
+        shift = q ** (2 - 2 * n)
+    total = Fraction(0)
+    for a in lvals:
+        core = (shift * lvals[a] - 1) / qdiff
+        total += _literal_pref_and_p(rs, lvals, q, a) * core**ell
+    if rs.lie_type is LieType.B:
+        total += ((q ** (-2 * n) - 1) / qdiff) ** ell
+    return total
+
+
 def outcome(f, *args):
-    """The exact value (checked to be a Fraction) or the degenerate point's
-    message."""
+    """The exact value (checked to be a Fraction), or the type and message
+    of the error a degenerate or malformed input raises."""
     try:
         value = f(*args)
-    except DegenerateEvaluation as exc:
-        return ("degenerate", str(exc))
+    except (DegenerateEvaluation, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
     assert type(value) is Fraction
     return value
 
@@ -244,6 +326,94 @@ def test_eigenvalue_direct_matches_the_literal_sum(name):
                 assert got == outcome(literal_eigenvalue_direct, rs, lam, ell, s)
                 degenerate += isinstance(got, tuple)
     assert degenerate  # the comparison reaches the degenerate points too
+
+
+@pytest.mark.parametrize(
+    "name, lam, ell, s",
+    [
+        ("C3", "100,50,1", 3, Fraction(3, 2)),
+        ("B4", "100,50,1,1", 4, Fraction(3, 2)),
+        ("B4", "100,50,1,1", 4, 2),
+    ],
+)
+def test_eigenvalue_direct_at_a_large_weight(name, lam, ell, s):
+    # every factor spans hundreds of q-powers here
+    rs = build_root_system(name[0], int(name[1:]))
+    got = eigenvalue_direct(rs, _weight(lam), ell, s)
+    assert type(got) is Fraction
+    assert got == literal_eigenvalue_direct(rs, _weight(lam), ell, s)
+
+
+# -- the raw rational oracles ----------------------------------------------------
+
+
+# Points off every pole of the rational forms: no L_a is 1 and no two agree.
+GENERIC_POINTS = (
+    (2, -3, Fraction(5, 7), Fraction(-4, 3)),
+    (Fraction(3, 2), 5, Fraction(-2, 7), Fraction(7, 5)),
+)
+
+
+def _oracle_points(rank):
+    """GENERIC_POINTS and POINTS cut to the rank, then copies of the first
+    generic point that hit every degenerate branch: u_i = 0, u_i = 1 and
+    u_i = -1 (L_a = 1/L_a), u_i = u_j and u_i = -u_j (L_a = L_b), u_i u_j =
+    1 (L_a = L_{-b}); and one point of the wrong length."""
+    pts = [tuple(p[:rank]) for p in GENERIC_POINTS + POINTS]
+    base = list(pts[0])
+    for i, value in ((1, 0), (0, 1), (rank - 1, -1), (1, base[0]), (rank - 1, -base[0]),
+                     (1, 1 / Fraction(base[0]))):
+        pt = list(base)
+        pt[i] = value
+        pts.append(tuple(pt))
+    pts.append(tuple(base[:-1]))
+    return pts
+
+
+ORACLE_S = S_VALUES + (1, -1, 0)
+
+# Every error both oracles raise, digits masked.
+BRANCHES = {
+    "q = #",
+    "point length differs from rank",
+    "zero point entry",
+    "L_a on the unit circle: L_a = #/L_a",
+    "L_# collides with L_#",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_g_rational_eval_matches_the_literal_form(name):
+    rs = SYSTEMS[name]
+    seen, values = set(), 0
+    for k in range(-1, rs.rank + 2):
+        for s in ORACLE_S:
+            for pt in _oracle_points(rs.rank):
+                got = outcome(g_rational_eval, rs, k, s, pt)
+                assert got == outcome(literal_g_rational_eval, rs, k, s, pt)
+                if isinstance(got, tuple):
+                    seen.add(re.sub(r"-?\d+", "#", got[1]))
+                else:
+                    values += 1
+    assert seen == BRANCHES | {"k must be >= #"}
+    assert values >= 2 * (rs.rank + 2) * len(S_VALUES)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_c0_rational_eval_matches_the_literal_form(name):
+    rs = SYSTEMS[name]
+    seen, values = set(), 0
+    for ell in range(0, rs.rank + 1):
+        for s in ORACLE_S:
+            for pt in _oracle_points(rs.rank):
+                got = outcome(c0_rational_eval, rs, ell, s, pt)
+                assert got == outcome(literal_c0_rational_eval, rs, ell, s, pt)
+                if isinstance(got, tuple):
+                    seen.add(re.sub(r"-?\d+", "#", got[1]))
+                else:
+                    values += 1
+    assert seen == BRANCHES | {"ell must be >= #", "q - #/q = #"}
+    assert values >= 2 * rs.rank * len(S_VALUES)
 
 
 # -- degenerate and malformed points --------------------------------------------

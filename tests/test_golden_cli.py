@@ -91,6 +91,9 @@ def _commands() -> list[tuple[str, ...]]:
         ("char", "--type", "D", "--rank", "4", "--lambda", "3/2,1/2,1/2,1/2",
          "--format", "json")
     )
+    # The raw rational oracles against both symbolic evaluations.
+    for t, n in (("B", "3"), ("D", "4")):
+        cmds.append(("verify", "--suite", "oracle", "--type", t, "--rank", n, "--points", "5"))
     return cmds
 
 
@@ -195,6 +198,8 @@ GOLDEN: dict[tuple[str, ...], tuple[int, str]] = {
     ('eig', '--type', 'C', '--rank', '3', '--lambda', '2,1,0', '--ell', '0', '--s', '2', '--format', 'json'): (0, '42d37f9986b2a59d735d88c4acfcde562f3fb240103b263812151723afccab51'),
     ('eig', '--type', 'C', '--rank', '3', '--lambda', '2,1,0', '--ell', '0', '--s', '2', '--format', 'text'): (0, 'ada42771ab6d513d0d74b2ec22074a218ea7062197557c8059aeecd494e2a0f4'),
     ('char', '--type', 'D', '--rank', '4', '--lambda', '3/2,1/2,1/2,1/2', '--format', 'json'): (0, 'b84232749f8c03fb8d9d16e64a3b1504b6d9d637d95e708e35858ef92c707b32'),
+    ('verify', '--suite', 'oracle', '--type', 'B', '--rank', '3', '--points', '5'): (0, '3e364143a0ac05c645d0ef4d72ae826722b2a168ac7a368858b6c8857ed81067'),
+    ('verify', '--suite', 'oracle', '--type', 'D', '--rank', '4', '--points', '5'): (0, '06437cf99e5d9c9bb6510439ab227fed0fa426f5e05810ada3e1cf5b317bfc58'),
 }
 
 
