@@ -35,15 +35,15 @@ coefficient, and the constructor and the per-weight readers present the
 coefficient of e^mu as a :class:`~qcasimir.exact.QLaurent`.  It takes its
 ring arithmetic, packed products and leading-term division from EPoly; this
 module adds only what depends on weights, each weight's work done once for
-all its q terms.  The Weyl denominator is
+all its q terms.  Every ``GAElem.div_exact`` is EPoly's one lexicographic
+leading-term elimination, whose remainder reaching zero certifies
+exactness.  The Weyl denominator is
 Delta = e^rho * prod over positive roots of (1 - e^(-alpha)), and
-:func:`divide_by_denominator` divides by it one binomial factor at a time.
-A binomial e^u - e^v with u > v is divided by summing the numerator down
-each chain k, k - (u - v), ...: the running sum is the quotient
-coefficient, and the division is exact exactly when every chain sum returns
-to zero, so no coefficient is ever divided.  Other denominators go through
-lexicographic leading-term elimination, whose remainder reaching zero
-certifies exactness.  Monomial order is lexicographic on doubled
+:func:`divide_by_denominator` divides by it one factor at a time, in a
+stage of its own: 1 - e^(-alpha) is divided by summing the numerator down
+each chain k, k - alpha, ...; the running sum is the quotient coefficient,
+and the division is exact exactly when every chain sum returns to zero, so
+no coefficient is ever divided.  Monomial order is lexicographic on doubled
 coordinates, highest first (Python tuple comparison).
 """
 
@@ -224,17 +224,17 @@ class GAElem(EPoly):
 
     The ring is :class:`EPoly` with E_i read as e^(eps_i/2): ``terms`` maps
     the doubled coordinates of each weight, then the quarter-grid q
-    exponent, to a nonzero rational.  Immutable; adds the Weyl action, the
-    chain-sum division by binomials and the specialization of the weight
-    variables at a point.
+    exponent, to a nonzero rational.  Immutable; adds the Weyl action and
+    the specialization of the weight variables at a point.
     """
 
     __slots__ = ()
     _json_key = "weight"
 
-    # in this class body because perfbench/tracing.py wraps it through
-    # vars(GAElem), as a layer apart from EPoly.__mul__
+    # in this class body because perfbench/tracing.py wraps them through
+    # vars(GAElem), as layers apart from EPoly's
     __mul__ = EPoly.__mul__
+    div_exact = EPoly.div_exact
 
     @staticmethod
     def exponential(w: Weight, coeff: QLaurent = QL_ONE) -> "GAElem":
@@ -278,58 +278,6 @@ class GAElem(EPoly):
                 image = images[weight] = _act_dbl(perm, signs, weight)
             res[image + key[-1:]] = c
         return self._like(res)
-
-    # -- exact division ------------------------------------------------------
-
-    def div_exact(self, den: "GAElem") -> "GAElem":
-        """Exact quotient self/den; raises NotDivisible when there is none.
-
-        A binomial e^u - e^v with u > v, the shape of every factor of the
-        Weyl denominator, is divided by the chain-sum kernel
-        (:meth:`_div_chains`).  Any other denominator goes through the
-        leading-term elimination of :meth:`EPoly.div_exact`.
-        """
-        if self.terms and len(den.terms) == 2:
-            self._check(den)
-            u, v = sorted(den.terms, reverse=True)
-            if not u[-1] and not v[-1] and den.terms[u] == 1 and den.terms[v] == -1:
-                return self._div_chains(u, v)
-        return super().div_exact(den)
-
-    def _div_chains(self, u: tuple, v: tuple) -> "GAElem":
-        """self / (e^u - e^v) for u > v, by chain sums.
-
-        ``u`` and ``v`` are flat keys with q lane 0.  With d = u - v, self =
-        y * (e^u - e^v) reads y[k-u] = self[k] + y[k-u+d]: down each chain
-        k, k-d, k-2d, ... of numerator keys (one q exponent each) the
-        quotient coefficient at k-u is the running sum of the numerator from
-        the top of the chain, so no coefficient is ever divided.  When every
-        chain sum returns to zero, y * (e^u - e^v) telescopes to self, so y
-        is the (unique) quotient and lies in the support box without a
-        per-term check.  A sum that does not return to zero walks out of the
-        box in the first coordinate i0 where d is nonzero (d[i0] > 0), which
-        proves the division inexact and ends the walk.
-        """
-        i0 = next(i for i in range(self.rank) if u[i] != v[i])
-        d = tuple(map(sub, u, v))
-        # (k - u)[i0] >= min(num)[i0] - v[i0]: the box floor, read on k
-        floor = min(map(itemgetter(i0), self.terms)) + d[i0]
-        num = dict(self.terms)
-        quot: dict[tuple, Coeff] = {}  # keyed by k until the shift by -u
-        for top in sorted(num, reverse=True):
-            y = num.pop(top, None)  # None: consumed by a walk from above
-            k = top
-            while y is not None:
-                if k[i0] < floor:
-                    raise NotDivisible("nonzero remainder in alternant division")
-                quot[k] = y
-                k = tuple(map(sub, k, d))
-                c = num.pop(k, None)
-                if c is not None:
-                    y = _norm_coeff(y + c) or None
-        if any(u):
-            quot = {tuple(map(sub, k, u)): c for k, c in quot.items()}
-        return self._like(quot)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -517,24 +465,56 @@ def weyl_denominator(rs: RootSystem, mode: str = "alternant") -> GAElem:
     return res
 
 
+def _div_root_factor(x: GAElem, alpha: tuple) -> GAElem:
+    """x / (1 - e^(-alpha)) for a lex-positive alpha (doubled coordinates),
+    by chain sums; raises NotDivisible when there is no quotient.
+
+    x = y * (1 - e^(-alpha)) reads y[k] = x[k] + y[k + alpha]: down each
+    chain k, k - alpha, k - 2 alpha, ... of numerator keys (one q exponent
+    each) the quotient coefficient at k is the running sum of the numerator
+    from the top of the chain, so no coefficient is ever divided.  When
+    every chain sum returns to zero, y * (1 - e^(-alpha)) telescopes to x,
+    so y is the (unique) quotient and lies in the support box without a
+    per-term check.  A sum that does not return to zero walks out of the
+    box in the first coordinate i0 where alpha is nonzero (alpha[i0] > 0),
+    which proves the division inexact and ends the walk.
+    """
+    i0 = next(i for i, a in enumerate(alpha) if a)
+    d = alpha + (0,)
+    # y[i0] >= min(x)[i0] + alpha[i0]: the box floor
+    floor = min(map(itemgetter(i0), x.terms), default=0) + alpha[i0]
+    num = dict(x.terms)
+    quot: dict[tuple, Coeff] = {}
+    for top in sorted(num, reverse=True):
+        y = num.pop(top, None)  # None: consumed by a walk from above
+        k = top
+        while y is not None:
+            if k[i0] < floor:
+                raise NotDivisible("nonzero remainder in alternant division")
+            quot[k] = y
+            k = tuple(map(sub, k, d))
+            c = num.pop(k, None)
+            if c is not None:
+                y = _norm_coeff(y + c) or None
+    return x._like(quot)
+
+
 def divide_by_denominator(x: GAElem, rs: RootSystem) -> GAElem:
-    """Exact quotient x / Delta, one GAElem.div_exact stage per positive
-    root.
+    """Exact quotient x / Delta, one chain-sum stage per positive root.
 
     Delta = e^rho * prod over alpha > 0 of (1 - e^(-alpha)), so x is divided
-    by each 1 - e^(-alpha), whose +1 sits on the lex-higher key 0, and
-    shifted by -rho once at the end.  Every stage takes the chain-sum
-    kernel of ``GAElem.div_exact``: linear in the sizes of its numerator and
-    quotient, for any q-Laurent coefficients, with no key shifted between
-    stages.  Each stage is exact on its own whenever the full quotient
+    by each 1 - e^(-alpha) (:func:`_div_root_factor`) and shifted by -rho
+    once at the end.  Each stage is linear in the sizes of its numerator
+    and quotient, for any q-Laurent coefficients, with no key shifted
+    between stages, and is exact on its own whenever the full quotient
     exists (the factors are non-zero-divisors).  The one-shot division
     ``x.div_exact(weyl_denominator(rs))`` takes the leading-term elimination
     instead and must agree; the test suite checks that.
     """
-    zero = (0,) * rs.rank
+    if x.rank != rs.rank:
+        raise RankMismatch("ranks differ")
     for alpha in rs.positive_roots:
-        neg = tuple(-d for d in alpha.dbl)
-        x = x.div_exact(GAElem(rs.rank, {zero: QL_ONE, neg: -QL_ONE}))
+        x = _div_root_factor(x, alpha.dbl)
     return x.shift(-rs.rho)
 
 

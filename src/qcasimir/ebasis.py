@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .casimir import ch_g_via_antisym, hook_terms
 from .chars import GAElem, ext_power_char, weyl_character
@@ -164,6 +165,7 @@ def hook_matrix_printed(rs: RootSystem, k: int, r: int) -> list[list]:
     return rows
 
 
+@cache
 def g_in_e_basis(rs: RootSystem, k: int) -> EPoly:
     """The k-th block character written in the folded symbols E_1..E_n.
 

@@ -405,21 +405,6 @@ class EPoly:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(rank={self.rank}, {len(self.terms)} terms)"
 
-    def format(self) -> str:
-        if not self.terms:
-            return "0"
-        names = [f"E{i}" for i in range(1, self.rank + 1)]
-        parts = []
-        for m, c in sorted(self._per_weight().items(), reverse=True):
-            syms = "*".join(
-                n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e
-            )
-            cs = str(c)
-            if " " in cs:
-                cs = f"({cs})"
-            parts.append(f"{cs}*{syms}" if syms else cs)
-        return " + ".join(parts)
-
 
 class QLaurent(EPoly):
     """Sparse Laurent polynomial in q with exponents on the quarter grid: the

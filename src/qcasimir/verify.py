@@ -38,6 +38,7 @@ from .chars import (
     GAElem,
     alternant,
     antisymmetrize,
+    coset_representatives,
     enumerate_weyl,
     is_w_invariant,
     straighten,
@@ -50,7 +51,7 @@ from .ebasis import (
     round_trip_ok,
     triangular_solve,
 )
-from .exact import NotDivisible, QLaurent
+from .exact import NotDivisible, QLaurent, det_bareiss, det_cofactor
 from .roots import (
     LieType,
     RootSystem,
@@ -482,8 +483,6 @@ def stability_cases(
 
 
 def property_cases(seed: int = 0) -> list[dict]:
-    from .exact import det_bareiss, det_cofactor
-
     rng = random.Random((seed, "props").__repr__())
     out = []
 
@@ -553,8 +552,6 @@ def property_cases(seed: int = 0) -> list[dict]:
     out.append(_case("props-alternant-vanishes-on-walls", ok_vanish))
 
     # coset decomposition tiles the group (types B and D)
-    from .chars import coset_representatives
-
     for lie, n in ((LieType.B, 3), (LieType.D, 4)):
         rsn = build_root_system(lie, n)
         reps = coset_representatives(rsn)
@@ -575,8 +572,6 @@ def property_cases(seed: int = 0) -> list[dict]:
     # cleared-denominator unit identity behind the rational forms
     ok_unit = True
     for n in (2, 3):
-        from .roots import eps
-
         lhs = GAElem.constant(n, QLaurent.q_power(2 * n))
         rhs = GAElem.one(n)
         for i in range(1, n + 1):

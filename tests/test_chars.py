@@ -10,6 +10,7 @@ from qcasimir.chars import (
     GridMismatch,
     RankTooLargeForEnumeration,
     SignedPerm,
+    _div_root_factor,
     alternant,
     antisymmetrize,
     character_by_division,
@@ -356,9 +357,24 @@ def _binomial(rank, rng, shift):
             return GAElem(rank, {u: ONE, v: -ONE})
 
 
+def _lex_positive(rank, rng, shift):
+    """A random alpha > 0 in the lexicographic order, on the given grid."""
+    while True:
+        alpha = tuple(2 * rng.randint(-2, 2) + shift for _ in range(rank))
+        if alpha > (0,) * rank:
+            return alpha
+
+
+def _root_factor(alpha):
+    """1 - e^(-alpha)."""
+    return GAElem(len(alpha), {(0,) * len(alpha): ONE, tuple(-a for a in alpha): -ONE})
+
+
 class TestChainKernel:
-    """The chain-sum division by e^u - e^v (u > v) that every stage of
-    divide_by_denominator takes."""
+    """The chain-sum division by 1 - e^(-alpha) (alpha lex-positive) that
+    every stage of divide_by_denominator takes, and GAElem.div_exact, EPoly's
+    one leading-term elimination, on binomials e^u - e^v and other
+    denominators."""
 
     @pytest.mark.parametrize("kind", ["int", "fraction", "q"])
     @pytest.mark.parametrize("shift", [0, 1], ids=["integral", "spin"])
@@ -367,11 +383,78 @@ class TestChainKernel:
         for rank in (1, 2, 3):
             for _ in range(15):
                 x = _rand_grid_elem(rank, rng, shift, kind)
+                alpha = _lex_positive(rank, rng, shift)
+                assert _div_root_factor(x * _root_factor(alpha), alpha) == x
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "q"])
+    def test_perturbed_numerator_not_divisible(self, kind):
+        rng = random.Random(5)
+        for rank in (1, 2, 3):
+            for shift in (0, 1):
+                for _ in range(10):
+                    x = _rand_grid_elem(rank, rng, shift, kind)
+                    alpha = _lex_positive(rank, rng, shift)
+                    w = tuple(rng.randint(-8, 8) for _ in range(rank))
+                    with pytest.raises(NotDivisible):
+                        _div_root_factor(x * _root_factor(alpha) + GAElem(rank, {w: ONE}), alpha)
+
+    def test_q_lane_alone_blocks_the_chain_kernel(self):
+        # a q-monomial added at a weight already in the support of x * f,
+        # with an exponent that weight does not carry: the weight support is
+        # unchanged, so only the q lane makes the division inexact
+        rng = random.Random(11)
+        for rank in (1, 2, 3):
+            for shift in (0, 1):
+                for _ in range(10):
+                    x = _rand_grid_elem(rank, rng, shift, "q")
+                    alpha = _lex_positive(rank, rng, shift)
+                    xf = x * _root_factor(alpha)
+                    by_weight = xf._per_weight()
+                    w = rng.choice(sorted(by_weight))
+                    e = max(e for (e,) in by_weight[w].terms) + 1
+                    y = xf + GAElem(rank, {w: QLaurent.monomial(e)})
+                    assert set(y._per_weight()) == set(by_weight)
+                    with pytest.raises(NotDivisible):
+                        _div_root_factor(y, alpha)
+
+    def test_chain_with_gaps_and_integral_fraction_sums(self):
+        # 1/2 e^(4,0) + 1/2 e^(0,0) - e^(-4,0) over 1 - e^(-4,0): the running
+        # sum is 1/2, then 1 (held as int), then 0
+        num = GAElem(2, {(4, 0): QLaurent({0: Fraction(1, 2)}),
+                         (0, 0): QLaurent({0: Fraction(1, 2)}),
+                         (-4, 0): -ONE})
+        quot = _div_root_factor(num, (4, 0))
+        assert quot == GAElem(2, {(4, 0): QLaurent({0: Fraction(1, 2)}), (0, 0): ONE})
+        assert type(quot._per_weight()[(0, 0)].terms[(0,)]) is int
+        # a chain through a gap: (e^(8) - e^(-4)) / (1 - e^(-4))
+        one_dim = GAElem(1, {(8,): ONE, (-4,): -ONE})
+        assert _div_root_factor(one_dim, (4,)) == GAElem(
+            1, {(8,): ONE, (4,): ONE, (0,): ONE})
+
+    def test_zero_numerator(self):
+        assert _div_root_factor(GAElem.zero(2), (2, -2)) == GAElem.zero(2)
+
+    @pytest.mark.parametrize("rs, ks", [(B2, (1, 2, 3)), (C3, (1, 2, 3)), (D4, (2, 3))],
+                             ids=["B2", "C3", "D4"])
+    def test_denominator_times_q_dependent_body(self, rs, ks):
+        delta = weyl_denominator(rs)
+        for k in ks:
+            body = ch_g_via_hooks(rs, k).body
+            assert not body.is_constant_in_q()
+            assert divide_by_denominator(delta * body, rs) == body
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "q"])
+    @pytest.mark.parametrize("shift", [0, 1], ids=["integral", "spin"])
+    def test_binomial_round_trip(self, kind, shift):
+        rng = random.Random(f"{kind}-{shift}")
+        for rank in (1, 2, 3):
+            for _ in range(15):
+                x = _rand_grid_elem(rank, rng, shift, kind)
                 f = _binomial(rank, rng, shift)
                 assert (x * f).div_exact(f) == x
 
     @pytest.mark.parametrize("kind", ["int", "fraction", "q"])
-    def test_perturbed_numerator_not_divisible(self, kind):
+    def test_binomial_perturbed_numerator_not_divisible(self, kind):
         rng = random.Random(5)
         for rank in (1, 2, 3):
             for shift in (0, 1):
@@ -381,21 +464,6 @@ class TestChainKernel:
                     w = tuple(rng.randint(-8, 8) for _ in range(rank))
                     with pytest.raises(NotDivisible):
                         (x * f + GAElem(rank, {w: ONE})).div_exact(f)
-
-    def test_chain_with_gaps_and_integral_fraction_sums(self):
-        # 1/2 e^(4,0) + 1/2 e^(0,0) - e^(-4,0) over e^(4,0) - e^(0,0): the
-        # running sum is 1/2, then 1 (held as int), then 0
-        num = GAElem(2, {(4, 0): QLaurent({0: Fraction(1, 2)}),
-                         (0, 0): QLaurent({0: Fraction(1, 2)}),
-                         (-4, 0): -ONE})
-        f = GAElem(2, {(4, 0): ONE, (0, 0): -ONE})
-        quot = num.div_exact(f)
-        assert quot == GAElem(2, {(0, 0): QLaurent({0: Fraction(1, 2)}), (-4, 0): ONE})
-        assert type(quot._per_weight()[(-4, 0)].terms[(0,)]) is int
-        # a chain through a gap: (e^(8) - e^(-4)) / (e^(4) - e^(0))
-        one_dim = GAElem(1, {(8,): ONE, (-4,): -ONE})
-        assert one_dim.div_exact(GAElem(1, {(4,): ONE, (0,): -ONE})) == GAElem(
-            1, {(4,): ONE, (0,): ONE, (-4,): ONE})
 
     def test_other_binomials_take_the_general_path(self):
         rng = random.Random(6)
@@ -409,10 +477,7 @@ class TestChainKernel:
             with pytest.raises(NotDivisible):
                 (x * f + GAElem.one(2)).div_exact(f)
 
-    def test_q_lane_alone_blocks_the_chain_kernel(self):
-        # a q-monomial added at a weight already in the support of x * f,
-        # with an exponent that weight does not carry: the weight support is
-        # unchanged, so only the q lane makes the division inexact
+    def test_q_lane_alone_blocks_binomial_division(self):
         rng = random.Random(11)
         for rank in (1, 2, 3):
             for shift in (0, 1):
@@ -422,10 +487,8 @@ class TestChainKernel:
                     by_weight = (x * f)._per_weight()
                     w = rng.choice(sorted(by_weight))
                     e = max(e for (e,) in by_weight[w].terms) + 1
-                    y = x * f + GAElem(rank, {w: QLaurent.monomial(e)})
-                    assert set(y._per_weight()) == set(by_weight)
                     with pytest.raises(NotDivisible):
-                        y.div_exact(f)
+                        (x * f + GAElem(rank, {w: QLaurent.monomial(e)})).div_exact(f)
 
     def test_q_lane_alone_blocks_the_general_path(self):
         # (1 + q) e^0 over (1 + q^2) e^0: one weight on both sides
@@ -444,15 +507,6 @@ class TestChainKernel:
             for _ in range(10):
                 x = _rand_grid_elem(rank, rng, 0, "q")
                 assert (x * f).div_exact(f) == x
-
-    @pytest.mark.parametrize("rs, ks", [(B2, (1, 2, 3)), (C3, (1, 2, 3)), (D4, (2, 3))],
-                             ids=["B2", "C3", "D4"])
-    def test_denominator_times_q_dependent_body(self, rs, ks):
-        delta = weyl_denominator(rs)
-        for k in ks:
-            body = ch_g_via_hooks(rs, k).body
-            assert not body.is_constant_in_q()
-            assert divide_by_denominator(delta * body, rs) == body
 
 
 # the GAElem cases keep their bare ids
@@ -499,6 +553,10 @@ class TestKeyRank:
     def test_from_json_with_a_long_key(self):
         with pytest.raises(RankMismatch):
             EPoly.from_json(2, [{"exps": [1, 2, 3], "coeff": ONE.to_json()}])
+
+    def test_divide_by_the_denominator_of_another_rank(self):
+        with pytest.raises(RankMismatch):
+            divide_by_denominator(weyl_denominator(C3), B2)
 
 
 def _integral_dominant(rs, bound):
