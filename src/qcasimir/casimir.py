@@ -407,8 +407,9 @@ def c0_rational_eval(
 ) -> Fraction:
     """Value of the raw rational order-ell torus image at L_a :=
     half_point[a]^2, q := s^4: the sum over a of prefactor(a) P_{n,a}
-    core_a^ell, core_a = (q^shift L_a - 1) / (q - 1/q) (plus the constant
-    slot's core in type B), one Fraction per index."""
+    core_a^ell, core_a = (q^shift L_a - 1) / (q - 1/q) with shift = 1 - c_n,
+    the q^{1-c_n} of :func:`hc_combination` (plus the constant slot's core
+    in type B), one Fraction per index."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
     q = Fraction(s) ** 4
@@ -419,12 +420,7 @@ def c0_rational_eval(
     if Q == R:  # q > 0: q - 1/q = 0 only at q = 1
         raise DegenerateEvaluation("q - 1/q = 0")
     n = rs.rank
-    if rs.lie_type is LieType.B:
-        shift = 1 - 2 * n
-    elif rs.lie_type is LieType.C:
-        shift = -2 * n
-    else:
-        shift = 2 - 2 * n
+    shift = 1 - rs.c_n
     # shift <= 0, so q^shift = sn / sd with sn = R^-shift, sd = Q^-shift:
     # core_a = (sn p_a - sd r_a) QR / (sd r_a (Q^2 - R^2))
     sn, sd = R**-shift, Q**-shift

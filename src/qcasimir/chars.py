@@ -74,6 +74,7 @@ from .roots import (
     RootSystem,
     Weight,
     eps,
+    pairing,
 )
 
 
@@ -179,24 +180,19 @@ def enumerate_weyl(rs: RootSystem) -> list[SignedPerm]:
     return elems
 
 
-def simple_reflections(rs: RootSystem) -> list[SignedPerm]:
-    n = rs.rank
+@cache
+def simple_reflections(rs: RootSystem) -> tuple[SignedPerm, ...]:
+    """s_alpha for each simple root alpha, read off its action
+    eps_i -> eps_i - (eps_i, alpha^vee) alpha, which is +-eps_j."""
+    basis = [eps(rs.rank, i) for i in range(1, rs.rank + 1)]
     refls = []
-    for i in range(1, n):
-        perm = list(range(1, n + 1))
-        perm[i - 1], perm[i] = perm[i], perm[i - 1]
-        refls.append(SignedPerm(tuple(perm), (1,) * n))
-    if rs.lie_type in (LieType.B, LieType.C):
-        signs = [1] * n
-        signs[n - 1] = -1
-        refls.append(SignedPerm(tuple(range(1, n + 1)), tuple(signs)))
-    else:
-        perm = list(range(1, n + 1))
-        perm[n - 2], perm[n - 1] = perm[n - 1], perm[n - 2]
-        signs = [1] * n
-        signs[n - 2] = signs[n - 1] = -1
-        refls.append(SignedPerm(tuple(perm), tuple(signs)))
-    return refls
+    for alpha in rs.simple_roots:
+        coroot = rs.coroot(alpha)
+        images = [e - alpha.scale(int(pairing(e, coroot))) for e in basis]
+        perm = tuple(next(j for j, d in enumerate(w.dbl, 1) if d) for w in images)
+        signs = tuple(1 if w.dbl[j - 1] > 0 else -1 for w, j in zip(images, perm))
+        refls.append(SignedPerm(perm, signs))
+    return tuple(refls)
 
 
 def coset_representatives(rs: RootSystem) -> list[SignedPerm]:
@@ -657,15 +653,10 @@ def character_sum(chamber: GAElem, rs: RootSystem) -> GAElem:
 @cache
 def _ext_power_chars(rs: RootSystem) -> tuple[GAElem, ...]:
     n, d = rs.rank, rs.dim_natural
-    # coefficient list in t of prod (1 + t e^{+-eps_i}) (times (1+t) in type B)
+    # coefficient list in t of prod over a in I' of (1 + t e^{eps_a})
     coeffs: list[GAElem] = [GAElem.one(n)]
-    factors: list[GAElem] = []
-    for i in range(1, n + 1):
-        factors.append(GAElem.exponential(eps(n, i)))
-        factors.append(GAElem.exponential(eps(n, -i)))
-    if rs.lie_type is LieType.B:
-        factors.append(GAElem.one(n))
-    for f in factors:
+    for a in rs.iprime:
+        f = GAElem.exponential(eps(n, a))
         new = [GAElem.zero(n)] * (len(coeffs) + 1)
         for j, c in enumerate(coeffs):
             new[j] = new[j] + c

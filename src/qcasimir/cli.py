@@ -96,13 +96,15 @@ def _ga_latex(x: GAElem) -> str:
     return " + ".join(parts)
 
 
-def _emit(args, payload: dict, text: str, latex: str) -> None:
+def _emit(args, payload, text, latex) -> None:
+    """Print the rendering that --format names.  Each rendering is passed as
+    a zero-argument callable, so the two not asked for are never built."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     elif args.format == "latex":
-        print(latex)
+        print(latex())
     else:
-        print(text)
+        print(text())
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -110,19 +112,27 @@ def _emit(args, payload: dict, text: str, latex: str) -> None:
 
 def cmd_roots(args) -> int:
     rs = _system(args)
-    payload = rs.to_json()
-    payload["positive_roots"] = [w.to_json() for w in rs.positive_roots]
-    payload["fundamental_weights"] = [w.to_json() for w in rs.fundamental_weights]
-    text = (
-        f"{rs.lie_type.value}{rs.rank}: rho = {rs.rho}, c_n = {rs.c_n}, "
-        f"kappa_n = {rs.kappa_n}, dim V = {rs.dim_natural}, "
-        f"{len(rs.positive_roots)} positive roots"
-    )
-    rows = " \\\\\n".join(_weight_latex(w) for w in rs.positive_roots)
-    latex = (
-        f"% positive roots of {rs.lie_type.value}_{rs.rank}\n"
-        f"\\begin{{array}}{{c}}\n{rows}\n\\end{{array}}"
-    )
+
+    def payload():
+        return rs.to_json() | {
+            "positive_roots": [w.to_json() for w in rs.positive_roots],
+            "fundamental_weights": [w.to_json() for w in rs.fundamental_weights],
+        }
+
+    def text():
+        return (
+            f"{rs.lie_type.value}{rs.rank}: rho = {rs.rho}, c_n = {rs.c_n}, "
+            f"kappa_n = {rs.kappa_n}, dim V = {rs.dim_natural}, "
+            f"{len(rs.positive_roots)} positive roots"
+        )
+
+    def latex():
+        rows = " \\\\\n".join(_weight_latex(w) for w in rs.positive_roots)
+        return (
+            f"% positive roots of {rs.lie_type.value}_{rs.rank}\n"
+            f"\\begin{{array}}{{c}}\n{rows}\n\\end{{array}}"
+        )
+
     _emit(args, payload, text, latex)
     return 0
 
@@ -131,14 +141,18 @@ def cmd_char(args) -> int:
     rs = _system(args)
     lam = _parse_coords(args.lam)
     chi = weyl_character(rs, lam)
-    payload = {
-        "type": rs.lie_type.value,
-        "rank": rs.rank,
-        "highest_weight": lam.to_json(),
-        "dimension": str(chi.evaluate(1, [1] * rs.rank)),
-        "terms": chi.to_json(),
-    }
-    _emit(args, payload, f"character of {lam}: {chi.format()}", _ga_latex(chi))
+    _emit(
+        args,
+        lambda: {
+            "type": rs.lie_type.value,
+            "rank": rs.rank,
+            "highest_weight": lam.to_json(),
+            "dimension": str(chi.evaluate(1, [1] * rs.rank)),
+            "terms": chi.to_json(),
+        },
+        lambda: f"character of {lam}: {chi.format()}",
+        lambda: _ga_latex(chi),
+    )
     return 0
 
 
@@ -148,7 +162,7 @@ def cmd_gnk(args) -> int:
         raise UsageError("--k is required")
     builder = ch_g_via_hooks if args.route == "hooks" else ch_g_via_antisym
     img = builder(rs, args.k)
-    _emit(args, img.to_json(), img.body.format(), _ga_latex(img.body))
+    _emit(args, img.to_json, img.body.format, lambda: _ga_latex(img.body))
     return 0
 
 
@@ -157,11 +171,12 @@ def cmd_hc(args) -> int:
     if args.ell is None:
         raise UsageError("--ell is required")
     img = hc_image(rs, args.ell)
-    text = f"({img.body.format()}) / ({img.denominator})"
-    latex = (
-        f"\\frac{{{_ga_latex(img.body)}}}{{{_ql_latex(img.denominator)}}}"
+    _emit(
+        args,
+        img.to_json,
+        lambda: f"({img.body.format()}) / ({img.denominator})",
+        lambda: f"\\frac{{{_ga_latex(img.body)}}}{{{_ql_latex(img.denominator)}}}",
     )
-    _emit(args, img.to_json(), text, latex)
     return 0
 
 
@@ -187,7 +202,7 @@ def cmd_eig(args) -> int:
         "equal": direct == via_hc,
     }
     text = f"direct = {direct}, via torus image = {via_hc}, equal = {direct == via_hc}"
-    _emit(args, payload, text, text)
+    _emit(args, lambda: payload, lambda: text, lambda: text)
     return 0 if direct == via_hc else 1
 
 
@@ -206,7 +221,7 @@ def cmd_hook(args) -> int:
         "dominant": rs.is_dominant(hw.weight),
     }
     text = f"hook weight k={hw.k} r={hw.r}{' bar' if hw.bar_variant else ''}: {hw.weight}"
-    _emit(args, payload, text, _weight_latex(hw.weight))
+    _emit(args, lambda: payload, lambda: text, lambda: _weight_latex(hw.weight))
     return 0
 
 
@@ -214,33 +229,38 @@ def cmd_solve_basis(args) -> int:
     rs = _system(args)
     sol = triangular_solve(rs)
     cert = generation_certificate(rs)
-    payload = {
-        "type": rs.lie_type.value,
-        "rank": rs.rank,
-        "solution": [
-            {
-                "k": e.k,
-                "c_unit": e.c_unit,
-                "c_denominator": e.c_denom.to_json(),
-                "numerator": e.num.to_json(),
-                "denominator": e.den.to_json(),
-            }
+
+    def payload():
+        return {
+            "type": rs.lie_type.value,
+            "rank": rs.rank,
+            "solution": [
+                {
+                    "k": e.k,
+                    "c_unit": e.c_unit,
+                    "c_denominator": e.c_denom.to_json(),
+                    "numerator": e.num.to_json(),
+                    "denominator": e.den.to_json(),
+                }
+                for e in sol.entries
+            ],
+            "certificate": cert,
+        }
+
+    def text():
+        lines = [
+            f"E{e.k} = ({e.c_unit:+d}/({e.c_denom})) G{e.k} + "
+            f"(lower terms; {len(e.num._per_weight())} numerator terms over denominator {e.den})"
             for e in sol.entries
-        ],
-        "certificate": cert,
-    }
-    lines = [
-        f"E{e.k} = ({e.c_unit:+d}/({e.c_denom})) G{e.k} + "
-        f"(lower terms; {len(e.num._per_weight())} numerator terms over denominator {e.den})"
-        for e in sol.entries
-    ]
-    text = "\n".join(
-        lines
-        + [
-            f"certificate: solved through k={cert['solved_range']}, "
-            f"extra generators {[g['index'] for g in cert['extra_generators']]}"
         ]
-    )
+        return "\n".join(
+            lines
+            + [
+                f"certificate: solved through k={cert['solved_range']}, "
+                f"extra generators {[g['index'] for g in cert['extra_generators']]}"
+            ]
+        )
+
     _emit(args, payload, text, text)
     return 0
 

@@ -28,7 +28,7 @@ from functools import cache
 
 from .casimir import ch_g_via_antisym, hook_terms
 from .chars import GAElem, ext_power_char, weyl_character
-from .exact import EPoly, QL_ONE, QLaurent, det_exact
+from .exact import EPoly, ExactArithmeticError, QL_ONE, QLaurent, det_exact
 from .roots import (
     IndexOutOfRange,
     LieType,
@@ -50,6 +50,13 @@ class SingularLeadingCoefficient(ArithmeticError):
 
 class CertificateFailed(AssertionError):
     pass
+
+
+# What generation_certificate raises when an identity fails; any other
+# exception is a fault of the program and propagates.
+CERTIFICATE_FAILURES = (
+    CertificateFailed, SingularLeadingCoefficient, HalvingFailed, ExactArithmeticError
+)
 
 
 def conjugate_partition(parts: tuple[int, ...]) -> tuple[int, ...]:
@@ -316,29 +323,25 @@ def generation_certificate(rs: RootSystem) -> dict:
     """Machine-checked report that the blocks, together with the listed
     extra generators, generate the character ring.
 
-    Covers: the triangular solve through the per-type range (n-1 for B, n
-    for C, n-2 for D), the identification of each covered fundamental
-    character with its exterior-power expression, and the extra spin-type
-    generators attached without such an expression.  Raises
-    :class:`CertificateFailed` on the first failing identity.
+    Covers: the triangular solve through n minus the number of spin indices
+    (n-1 for B, n for C, n-2 for D), the identification of each covered
+    fundamental character with its exterior-power expression, and the spin
+    fundamental weights, attached as extra generators without such an
+    expression.  Raises :class:`CertificateFailed` on the first failing
+    identity.
     """
     n = rs.rank
-    if rs.lie_type is LieType.B:
-        solved_range, fund_range, extras = n - 1, n - 1, [n]
-    elif rs.lie_type is LieType.C:
-        solved_range, fund_range, extras = n, n, []
-    else:
-        solved_range, fund_range, extras = n - 2, n - 2, [n - 1, n]
+    solved_range = n - len(rs.spin_indices)
     checks = []
     sol = triangular_solve(rs)
     for k in range(1, solved_range + 1):
         checks.append((f"solve-E{k}", round_trip_ok(rs, sol, k)))
         checks.append((f"characters-E{k}", solution_ok_in_characters(rs, sol, k)))
-    for r in range(1, fund_range + 1):
+    for r in range(1, solved_range + 1):
         chi, expr = fundamental_character_relation(rs, r)
         checks.append((f"fundamental-{r}", chi == expr))
     extra_gens = []
-    for r in extras:
+    for r in rs.spin_indices:
         w = rs.fundamental_weight(r)
         chi = weyl_character(rs, w)
         extra_gens.append(

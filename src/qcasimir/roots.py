@@ -3,13 +3,18 @@
 Weights live in the span of an orthonormal basis eps_1..eps_n and are stored
 with doubled integer coordinates so the half-integer grid of spin weights
 stays exact.  A :class:`RootSystem` packages positive/simple roots, the Weyl
-vector rho, fundamental weights, the constants attached to the Casimir
-formulas, and the index set used by their sums ({-n..-1, 1..n}, plus 0 in
-type B, where eps_0 = 0).
+vector rho, fundamental weights and the constants of the Casimir formulas.
+Per type, :func:`build_root_system` states the last simple root, the index
+set I' of the Casimir sums ({-n..-1, 1..n}, plus 0 in type B, where eps_0 =
+0) and c_n (dim V - 1 in types B and D, dim V + 1 in type C).  The rest is
+derived: the positive roots and the fundamental weights from the simple
+roots, rho as half the positive-root sum, dim V = |I'|, kappa_n = (c_n -
+1)/2, the hook columns 0..c_n - 1, and the spin indices (the r whose
+fundamental weight is not integral).
 
 Hook weights (k-r)*eps_1 + eps_2 + ... + eps_{rbar+1} parameterize the
 irreducible constituents appearing in the character expansions; ``rbar``
-folds the raw index r into 0..n-1 with a per-type rule.
+folds the raw index r into 0..n-1 as min(r, c_n - 1 - r, n - 1).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import Sequence
 
 
@@ -138,49 +143,40 @@ def eps(rank: int, i: int) -> Weight:
     return Weight(tuple(dbl))
 
 
-def _positive_roots(lie: LieType, n: int) -> tuple[Weight, ...]:
+def _simple_roots(lie: LieType, n: int) -> tuple[Weight, ...]:
+    """eps_i - eps_{i+1} for i < n, then the one per-type root: eps_n (B),
+    2 eps_n (C) or eps_{n-1} + eps_n (D)."""
+    last = {LieType.B: eps(n, n), LieType.C: eps(n, n).scale(2)}
+    tail = last.get(lie, eps(n, n - 1) + eps(n, n))
+    return tuple(eps(n, i) - eps(n, i + 1) for i in range(1, n)) + (tail,)
+
+
+def _positive_roots(simple: tuple[Weight, ...]) -> tuple[Weight, ...]:
+    """eps_i - eps_j and eps_i + eps_j for i < j, then, when the last simple
+    root is c eps_n (types B, C), its orbit c eps_1, ..., c eps_n."""
+    n, last = len(simple), simple[-1]
     roots: list[Weight] = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             roots.append(eps(n, i) - eps(n, j))
             roots.append(eps(n, i) + eps(n, j))
-    if lie is LieType.B:
-        roots.extend(eps(n, i) for i in range(1, n + 1))
-    elif lie is LieType.C:
-        roots.extend(eps(n, i).scale(2) for i in range(1, n + 1))
+    if not any(last.dbl[:-1]):  # last = c eps_n, c = last.dbl[-1] / 2
+        roots.extend(eps(n, i).scale(last.dbl[-1] // 2) for i in range(1, n + 1))
     return tuple(roots)
 
 
-def _simple_roots(lie: LieType, n: int) -> tuple[Weight, ...]:
-    simple = [eps(n, i) - eps(n, i + 1) for i in range(1, n)]
-    if lie is LieType.B:
-        simple.append(eps(n, n))
-    elif lie is LieType.C:
-        simple.append(eps(n, n).scale(2))
-    else:
-        simple.append(eps(n, n - 1) + eps(n, n))
-    return tuple(simple)
-
-
-def _rho(lie: LieType, n: int) -> Weight:
-    if lie is LieType.B:
-        return Weight(tuple(2 * (n - i) + 1 for i in range(1, n + 1)))
-    if lie is LieType.C:
-        return Weight(tuple(2 * (n - i + 1) for i in range(1, n + 1)))
-    return Weight(tuple(2 * (n - i) for i in range(1, n + 1)))
-
-
-def _fundamental_weights(lie: LieType, n: int) -> tuple[Weight, ...]:
+def _fundamental_weights(simple: tuple[Weight, ...]) -> tuple[Weight, ...]:
+    """The basis dual to the simple coroots.  Against eps_i - eps_{i+1}
+    (i < n) that leaves omega_r = eps_1 + ... + eps_r + c (eps_1 + ... +
+    eps_n), and (omega_r, alpha_n) = delta_rn (alpha_n, alpha_n)/2 fixes c."""
+    n, alpha = len(simple), simple[-1]
+    ones = Weight((2,) * n)
     fws = []
     for r in range(1, n + 1):
-        if lie is LieType.B and r == n:
-            fws.append(Weight((1,) * n))
-        elif lie is LieType.D and r == n - 1:
-            fws.append(Weight((1,) * (n - 1) + (-1,)))
-        elif lie is LieType.D and r == n:
-            fws.append(Weight((1,) * n))
-        else:
-            fws.append(Weight((2,) * r + (0,) * (n - r)))
+        head = Weight((2,) * r + (0,) * (n - r))
+        two_c = (r == n) * pairing(alpha, alpha) - 2 * pairing(head, alpha)
+        two_c /= pairing(ones, alpha)
+        fws.append(Weight(tuple(d + int(two_c) for d in head.dbl)))
     return tuple(fws)
 
 
@@ -200,6 +196,13 @@ class RootSystem:
     kappa_n: Fraction
     dim_natural: int
     iprime: tuple[int, ...]  # index set of the Casimir sums; 0 present in type B
+
+    @cached_property
+    def spin_indices(self) -> tuple[int, ...]:
+        """Each r whose fundamental weight is off the integral lattice:
+        (n) in type B, () in type C, (n-1, n) in type D."""
+        fws = self.fundamental_weights
+        return tuple(r for r, w in enumerate(fws, 1) if not w.is_integral())
 
     def fundamental_weight(self, i: int) -> Weight:
         if not 1 <= i <= self.rank:
@@ -229,15 +232,13 @@ class RootSystem:
         return d[self.rank - 1] >= 0
 
     def is_on_weight_lattice(self, lam: Weight) -> bool:
-        """Member of the weight lattice: integral coordinates, or (types B, D)
-        all-half-integral coordinates."""
+        """Member of the weight lattice: integral coordinates, or (when there
+        are spin indices: types B, D) all-half-integral coordinates."""
         if lam.rank != self.rank:
             return False
         if lam.is_integral():
             return True
-        if self.lie_type is LieType.C:
-            return False
-        return all(d % 2 != 0 for d in lam.dbl)
+        return bool(self.spin_indices) and all(d % 2 != 0 for d in lam.dbl)
 
     def check_highest_weight(self, lam: Weight) -> None:
         """Raise unless lam is dominant and on the weight lattice, that is,
@@ -249,23 +250,14 @@ class RootSystem:
             raise NotOnWeightLattice(f"{lam} is not on the weight lattice of {name}")
 
     def hook_r_range(self) -> range:
-        n = self.rank
-        if self.lie_type is LieType.B:
-            return range(0, 2 * n)
-        if self.lie_type is LieType.C:
-            return range(0, 2 * n + 1)
-        return range(0, 2 * n - 1)
+        """The raw hook column indices r = 0..c_n - 1."""
+        return range(self.c_n)
 
     def rbar(self, r: int) -> int:
         """Fold the raw column index r into 0..n-1."""
-        n = self.rank
         if r not in self.hook_r_range():
             raise IndexOutOfRange(f"r={r} outside the admissible range")
-        if self.lie_type is LieType.B:
-            return min(r, 2 * n - 1 - r)
-        if self.lie_type is LieType.C:
-            return min(r, 2 * n - r, n - 1)
-        return min(r, 2 * n - 2 - r)
+        return min(r, self.c_n - 1 - r, self.rank - 1)
 
     def to_json(self) -> dict:
         return {
@@ -283,24 +275,22 @@ def build_root_system(lie: LieType, n: int, /) -> RootSystem:
         raise RankTooSmall(
             f"type {lie.value} needs rank >= {MIN_RANK[lie]}, got {n}"
         )
-    if lie is LieType.B:
-        c_n, kappa, dim = 2 * n, Fraction(2 * n - 1, 2), 2 * n + 1
-        iprime = tuple(range(-n, n + 1))
-    elif lie is LieType.C:
-        c_n, kappa, dim = 2 * n + 1, Fraction(n), 2 * n
-        iprime = tuple(i for i in range(-n, n + 1) if i)
-    else:
-        c_n, kappa, dim = 2 * n - 1, Fraction(n - 1), 2 * n
-        iprime = tuple(i for i in range(-n, n + 1) if i)
+    iprime = tuple(i for i in range(-n, n + 1) if i or lie is LieType.B)
+    dim = len(iprime)
+    c_n = dim + 1 if lie is LieType.C else dim - 1
+    simple = _simple_roots(lie, n)
+    positive = _positive_roots(simple)
+    # rho = half the sum of the positive roots; 2 rho is integral
+    rho = Weight(tuple(sum(col) // 2 for col in zip(*(a.dbl for a in positive))))
     return RootSystem(
         lie_type=lie,
         rank=n,
-        positive_roots=_positive_roots(lie, n),
-        simple_roots=_simple_roots(lie, n),
-        rho=_rho(lie, n),
-        fundamental_weights=_fundamental_weights(lie, n),
+        positive_roots=positive,
+        simple_roots=simple,
+        rho=rho,
+        fundamental_weights=_fundamental_weights(simple),
         c_n=c_n,
-        kappa_n=kappa,
+        kappa_n=Fraction(c_n - 1, 2),
         dim_natural=dim,
         iprime=iprime,
     )

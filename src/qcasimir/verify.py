@@ -45,6 +45,7 @@ from .chars import (
     weyl_denominator,
 )
 from .ebasis import (
+    CERTIFICATE_FAILURES,
     HalvingFailed,
     generation_certificate,
     jt_character,
@@ -401,19 +402,17 @@ def jt_cases(systems) -> list[dict]:
 
 
 def basis_cases(systems) -> list[dict]:
-    """Triangular change of basis: solve through the per-type range (n for
-    C, n-1 for B, n-2 for D, plus the type D k=n fold), exact round trips,
-    nonzero leading pairs, and the printed leading coefficient at k = 1."""
+    """Triangular change of basis: solve through n minus the number of spin
+    indices (n for C, n-1 for B, n-2 for D, plus the type D k=n fold), exact
+    round trips, nonzero leading pairs, and the printed leading coefficient
+    at k = 1."""
     out = []
     for rs in systems:
         n = rs.rank
         sol = triangular_solve(rs)
-        if rs.lie_type is LieType.B:
-            ks = list(range(1, n))
-        elif rs.lie_type is LieType.C:
-            ks = list(range(1, n + 1))
-        else:
-            ks = list(range(1, n - 1)) + [n]
+        ks = list(range(1, n + 1 - len(rs.spin_indices)))
+        if rs.lie_type is LieType.D:
+            ks.append(n)
         for k in ks:
             out.append(
                 _case(
@@ -441,7 +440,7 @@ def certificate_cases(systems) -> list[dict]:
             detail = "extras: " + ",".join(
                 str(g["index"]) for g in rep["extra_generators"]
             )
-        except Exception as exc:  # CertificateFailed carries the identity name
+        except CERTIFICATE_FAILURES as exc:  # CertificateFailed names the identity
             ok, detail = False, str(exc)
         out.append(_case(f"certificate-{_name(rs)}", ok, detail))
     return out

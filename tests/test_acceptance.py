@@ -17,6 +17,8 @@ form of an identity whose naive form is false:
 README.md carries the full analysis of both.
 """
 
+import hashlib
+import json
 import sys
 from time import perf_counter
 from typing import Callable
@@ -42,10 +44,30 @@ from qcasimir.verify import (
 SEED = 0
 SYSTEMS = in_scope_systems()
 
+# SHA-256 of json.dumps(cases, sort_keys=True) for each criterion: its case
+# ids, statuses and details.  A change that means to keep the outputs the
+# same must leave every digest matching; one that alters a case on purpose
+# updates the digest and says why.
+CASE_DIGESTS = {
+    1: "cd06a2851ee86bdffde285ba8434e3888f6f38eae04b83f1b556563c0395ad06",
+    2: "3f623f8dc59be9811a46a3db357f35ca05ad96fddf15939ad4917e62fed18c01",
+    3: "f940414246ea29f725bebf727df18ec2840dfd4a385a4bbbdbce912fa6497e58",
+    4: "57ee88c313afacd78bf874d72c543c7b3edd12577cdd605e2c6395551745190d",
+    5: "719faa4a86b11aeaff44e66bf9f0016ddfa929e4b18e7949a397337e836b2fa3",
+    6: "3db48b65c230e95634fb618e23fad890b9598aeccce4398c45f8bcfc0b9d7c7c",
+    7: "a4be40cbb1f8b8dda03899129a023cd8820622f00938104e0486e8fa7b454bd7",
+    8: "e4c0e7562451dbaae1273ec1872a0199e88bfe85163d905bb5ad6e0ce13407fb",
+    9: "4f70b5a89788f04625a033face74b5e634529d246699018b01f679fc40fe3bf3",
+    10: "a47ca8e34331cea4f57ffbda0b1fa6b9e19d50d74ee4f7d58c9ad0d59077b0c6",
+    11: "95f6c70abba1ef5029713284c90e4c05a689dfc37fc080033afd1385be72552a",
+    12: "2bd216d132ff68ecf6e495110b3bec5bf550e78818580c0141c665e342fd261b",
+}
+
 
 def _report(number: int, title: str, check: Callable[[], list[dict]]):
-    """Run one criterion and print its line with the wall time; the case
-    records themselves carry no timing, so reports stay deterministic."""
+    """Run one criterion, print its line with the wall time, and check its
+    case records against the recorded digest; the records carry no timing,
+    so reports stay deterministic."""
     t0 = perf_counter()
     cases = check()
     seconds = perf_counter() - t0
@@ -62,6 +84,8 @@ def _report(number: int, title: str, check: Callable[[], list[dict]]):
             for c in failed[:12]
         )
         pytest.fail(f"{line}\nfailing cases: {details}", pytrace=False)
+    digest = hashlib.sha256(json.dumps(cases, sort_keys=True).encode()).hexdigest()
+    assert digest == CASE_DIGESTS[number], f"criterion {number}: case records changed"
 
 
 def test_criterion_01_denominator_formula():

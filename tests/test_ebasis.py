@@ -5,6 +5,7 @@ import pytest
 from qcasimir.casimir import ch_g_via_hooks
 from qcasimir.chars import GAElem, ext_power_char, weyl_character
 from qcasimir.ebasis import (
+    CertificateFailed,
     PartitionTooLong,
     conjugate_partition,
     expected_leading_coeff,
@@ -19,6 +20,7 @@ from qcasimir.ebasis import (
 )
 from qcasimir.exact import EPoly, QLaurent, det_exact
 from qcasimir.roots import LieType, Weight, build_root_system, partition_to_weight
+from qcasimir.verify import certificate_cases
 
 B2 = build_root_system(LieType.B, 2)
 B3 = build_root_system(LieType.B, 3)
@@ -233,3 +235,20 @@ class TestCertificates:
         for r in (1, 2, 3):
             chi, expr = fundamental_character_relation(C3, r)
             assert chi == expr
+
+    def test_certificate_failure_is_a_failing_case(self, monkeypatch):
+        def failing(rs):
+            raise CertificateFailed(f"B{rs.rank}: characters-E1")
+
+        monkeypatch.setattr("qcasimir.verify.generation_certificate", failing)
+        [case] = certificate_cases([B2])
+        assert case["status"] == "fail"
+        assert case["detail"] == "B2: characters-E1"
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(rs):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr("qcasimir.verify.generation_certificate", broken)
+        with pytest.raises(TypeError):
+            certificate_cases([B2])

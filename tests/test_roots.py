@@ -71,12 +71,60 @@ def test_positive_root_counts_formula():
         assert len(rs.positive_roots) == expected
 
 
-def test_two_rho_is_positive_root_sum():
-    for rs in ALL:
-        total = Weight.zero(rs.rank)
-        for alpha in rs.positive_roots:
-            total = total + alpha
-        assert total == rs.rho.scale(2)
+# The per-type closed forms of the data that build_root_system derives from
+# I', c_n and the roots, written out once per type as an independent table.
+CLOSED_FORMS = {
+    LieType.B: dict(
+        rho=lambda n, i: n - i + Fraction(1, 2),
+        c_n=lambda n: 2 * n,
+        kappa_n=lambda n: Fraction(2 * n - 1, 2),
+        dim_natural=lambda n: 2 * n + 1,
+        hook_columns=lambda n: 2 * n,
+        rbar=lambda n, r: min(r, 2 * n - 1 - r),
+        spin_indices=lambda n: (n,),
+    ),
+    LieType.C: dict(
+        rho=lambda n, i: n - i + 1,
+        c_n=lambda n: 2 * n + 1,
+        kappa_n=lambda n: n,
+        dim_natural=lambda n: 2 * n,
+        hook_columns=lambda n: 2 * n + 1,
+        rbar=lambda n, r: min(r, 2 * n - r, n - 1),
+        spin_indices=lambda n: (),
+    ),
+    LieType.D: dict(
+        rho=lambda n, i: n - i,
+        c_n=lambda n: 2 * n - 1,
+        kappa_n=lambda n: n - 1,
+        dim_natural=lambda n: 2 * n,
+        hook_columns=lambda n: 2 * n - 1,
+        rbar=lambda n, r: min(r, 2 * n - 2 - r),
+        spin_indices=lambda n: (n - 1, n),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "lie,n",
+    [(lie, n) for lie in LieType for n in range(MIN_RANK[lie], 10)],
+    ids=lambda v: v.value if isinstance(v, LieType) else str(v),
+)
+def test_derived_data_match_the_per_type_closed_forms(lie, n):
+    rs = build_root_system(lie, n)
+    form = CLOSED_FORMS[lie]
+    assert rs.rho.coords == tuple(form["rho"](n, i) for i in range(1, n + 1))
+    assert rs.c_n == form["c_n"](n)
+    assert rs.kappa_n == form["kappa_n"](n)
+    assert rs.dim_natural == form["dim_natural"](n)
+    columns = form["hook_columns"](n)
+    assert rs.hook_r_range() == range(columns)
+    assert [rs.rbar(r) for r in range(columns)] == [
+        form["rbar"](n, r) for r in range(columns)
+    ]
+    for r in (-1, columns):
+        with pytest.raises(IndexOutOfRange):
+            rs.rbar(r)
+    assert rs.spin_indices == form["spin_indices"](n)
 
 
 def test_simple_roots_are_positive_and_span():
