@@ -32,14 +32,8 @@ from math import comb
 from operator import mul
 from typing import Sequence
 
-from .chars import (
-    GAElem,
-    GridMismatch,
-    character_sum,
-    natural_character,
-    straighten,
-)
-from .exact import Coeff, NotDivisible, QLaurent, _clean, _cleared_powers
+from .chars import GAElem, GridMismatch, character_sum, ext_power_char, straighten
+from .exact import Coeff, QLaurent, _clean
 from .roots import (
     LieType,
     RootSystem,
@@ -151,7 +145,7 @@ def hook_terms(rs: RootSystem, k: int) -> tuple[HookTerm, ...]:
     if k < 1:
         raise ValueError("k must be >= 1")
     lie, n = rs.lie_type, rs.rank
-    top = rs.hook_r_range()[-1]
+    top = rs.c_n - 1
     terms: list[HookTerm] = []
     for r in range(min(k - 1, top) + 1):
         sign = (-1) ** r * (tau(rs, r) if lie is LieType.C else 1)
@@ -205,8 +199,9 @@ def closed_form_g0(rs: RootSystem) -> GAElem:
 
 
 def closed_form_g1(rs: RootSystem) -> GAElem:
-    """The k = 1 block: q^{c_n - 1} times the natural character."""
-    return natural_character(rs).scale(QLaurent.monomial(4 * (rs.c_n - 1)))
+    """The k = 1 block: q^{c_n - 1} times the natural character, the sum of
+    e^{eps_a} over the index set."""
+    return ext_power_char(rs, 1).scale(QLaurent.monomial(4 * (rs.c_n - 1)))
 
 
 @cache
@@ -236,10 +231,9 @@ def hc_image(rs: RootSystem, ell: int) -> CasimirImage:
     The quotient exists only over the rational-function field: every
     coefficient of the combination takes a nonzero value at q = 1 at generic
     points, while the denominator vanishes there, so the division is never
-    exact in the Laurent ring.  ``hc_divisibility_failures`` documents this;
-    evaluation goes through :func:`hc_value`, which divides exact rational
-    values instead.  Specialised at a dominant weight (:func:`hc_at_weight`)
-    the division becomes exact again.
+    exact in the Laurent ring.  Evaluation goes through :func:`hc_value`,
+    which divides exact rational values instead.  Specialised at a dominant
+    weight (:func:`hc_at_weight`) the division becomes exact again.
     """
     return CasimirImage(
         rs.lie_type,
@@ -249,19 +243,6 @@ def hc_image(rs: RootSystem, ell: int) -> CasimirImage:
         "binomial_transform",
         hc_denominator(ell),
     )
-
-
-def hc_divisibility_failures(rs: RootSystem, ell: int) -> list[tuple]:
-    """Attempt the coefficient-wise exact division of the binomial
-    combination by (q^{-1} - q)^ell; return the weights where it fails."""
-    den = hc_denominator(ell)
-    bad = []
-    for w, c in hc_combination(rs, ell)._per_weight().items():
-        try:
-            c.div_exact(den)
-        except NotDivisible:
-            bad.append(w)
-    return sorted(bad)
 
 
 def hc_at_weight(rs: RootSystem, ell: int, lam: Weight) -> QLaurent:
@@ -327,12 +308,16 @@ def hc_value(
 # ---------------------------------------------------------------------------
 
 
-def _l_table(
-    rs: RootSystem, half_point: Sequence[Coeff]
-) -> dict[int, tuple[int, int]]:
-    """L_a for a in {-n..-1,1..n} from the values u of e^{eps_a/2}, as the
-    int pair (p_a, r_a) with L_a = p_a / r_a: (num(u)^2, den(u)^2) for
-    a > 0, swapped for -a."""
+def _rational_point(
+    rs: RootSystem, s: Coeff, half_point: Sequence[Coeff]
+) -> tuple[int, int, dict[int, tuple[int, int]]]:
+    """q := s^4 as the ints (Q, R) with q = Q/R, and L_a for a in
+    {-n..-1,1..n} from the values u of e^{eps_a/2}, as the int pair
+    (p_a, r_a) with L_a = p_a / r_a: (num(u)^2, den(u)^2) for a > 0,
+    swapped for -a."""
+    q = Fraction(s) ** 4
+    if q == 0:
+        raise DegenerateEvaluation("q = 0")
     if len(half_point) != rs.rank:
         raise GridMismatch("point length differs from rank")
     table: dict[int, tuple[int, int]] = {}
@@ -343,7 +328,7 @@ def _l_table(
         p, r = u.numerator ** 2, u.denominator ** 2
         table[i] = (p, r)
         table[-i] = (r, p)
-    return table
+    return q.numerator, q.denominator, table
 
 
 def _pref_and_p(
@@ -388,11 +373,7 @@ def g_rational_eval(
     constructions."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    q = Fraction(s) ** 4
-    if q == 0:
-        raise DegenerateEvaluation("q = 0")
-    Q, R = q.numerator, q.denominator
-    lvals = _l_table(rs, half_point)
+    Q, R, lvals = _rational_point(rs, s, half_point)
     total = Fraction(0)
     for a, (pa, ra) in lvals.items():
         num, den = _pref_and_p(rs, lvals, Q, R, a)
@@ -412,11 +393,7 @@ def c0_rational_eval(
     in type B), one Fraction per index."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    q = Fraction(s) ** 4
-    if q == 0:
-        raise DegenerateEvaluation("q = 0")
-    Q, R = q.numerator, q.denominator
-    lvals = _l_table(rs, half_point)
+    Q, R, lvals = _rational_point(rs, s, half_point)
     if Q == R:  # q > 0: q - 1/q = 0 only at q = 1
         raise DegenerateEvaluation("q - 1/q = 0")
     n = rs.rank
@@ -442,12 +419,6 @@ def c0_rational_eval(
 # ---------------------------------------------------------------------------
 
 
-def _qdim_value(rs: RootSystem, q: Fraction) -> Fraction:
-    exps = [int(pairing(rs.rho.scale(2), eps(rs.rank, a))) for a in rs.iprime]
-    t, num, den = _cleared_powers(q, exps)
-    return Fraction(sum(t[e] for e in exps) * num, den)
-
-
 def eigenvalue_direct(
     rs: RootSystem, lam: Weight, ell: int, s: Coeff
 ) -> Fraction:
@@ -466,7 +437,7 @@ def eigenvalue_direct(
     if q == 0 or (ell and q in (1, -1)):
         raise DegenerateEvaluation("q must avoid 0 and roots of unity")
     if ell == 0:
-        return _qdim_value(rs, q)
+        return closed_form_g0(rs).evaluate(s, [1] * rs.rank)
     lam_rho = lam + rs.rho
     # pair_a = (eps_a, 2 rho + 2 lam + eps_a); its sign-flipped and zero slots
     def pair_a(a: int) -> int:

@@ -23,9 +23,9 @@ Characters (:func:`weyl_character`) divide nothing: Freudenthal's formula
 gives the multiplicity of every dominant weight below the highest weight,
 in integers, and each multiplicity is written onto the distinct images of
 its weight (signed permutations of the coordinates, generated directly), so
-no rank limit applies.  Alternant division, A(lam + rho) / Delta
-(:func:`character_by_division`), is kept as the independent oracle that
-the tests compare against.
+no rank limit applies.  Alternant division,
+``divide_by_denominator(alternant(rs, lam + rho), rs)``, is kept as the
+independent oracle that the tests compare against.
 
 :class:`GAElem` is a finite formal sum of exponentials e^mu with q-Laurent
 coefficients.  It is the Laurent ring :class:`~qcasimir.exact.EPoly` with
@@ -37,8 +37,9 @@ ring arithmetic, packed products and leading-term division from EPoly; this
 module adds only what depends on weights, each weight's work done once for
 all its q terms.  Every ``GAElem.div_exact`` is EPoly's one lexicographic
 leading-term elimination, whose remainder reaching zero certifies
-exactness.  The Weyl denominator is
-Delta = e^rho * prod over positive roots of (1 - e^(-alpha)), and
+exactness.  The Weyl denominator Delta is the rho-alternant
+(:func:`weyl_denominator`); it equals
+e^rho * prod over positive roots of (1 - e^(-alpha)), and
 :func:`divide_by_denominator` divides by it one factor at a time, in a
 stage of its own: 1 - e^(-alpha) is divided by summing the numerator down
 each chain k, k - alpha, ...; the running sum is the quotient coefficient,
@@ -439,26 +440,9 @@ def alternant(rs: RootSystem, lam: Weight) -> GAElem:
 
 
 @cache
-def weyl_denominator(rs: RootSystem, mode: str = "alternant") -> GAElem:
-    """The standard denominator, as the rho-alternant or as the product of
-    (e^(alpha/2) - e^(-alpha/2)) over positive roots.  Equality of the two
-    modes is a mandatory identity exercised by the test suite."""
-    if mode == "alternant":
-        return alternant(rs, rs.rho)
-    if mode != "product":
-        raise ValueError(f"unknown mode {mode!r}")
-    res = GAElem.one(rs.rank)
-    for alpha in rs.positive_roots:
-        # alpha/2 doubled is alpha's (integral) coordinate vector
-        factor = GAElem(
-            rs.rank,
-            {
-                tuple(d // 2 for d in alpha.dbl): QL_ONE,
-                tuple(-d // 2 for d in alpha.dbl): -QL_ONE,
-            },
-        )
-        res = res * factor
-    return res
+def weyl_denominator(rs: RootSystem) -> GAElem:
+    """The Weyl denominator Delta, as the rho-alternant."""
+    return alternant(rs, rs.rho)
 
 
 def _div_root_factor(x: GAElem, alpha: tuple) -> GAElem:
@@ -512,13 +496,6 @@ def divide_by_denominator(x: GAElem, rs: RootSystem) -> GAElem:
     for alpha in rs.positive_roots:
         x = _div_root_factor(x, alpha.dbl)
     return x.shift(-rs.rho)
-
-
-def character_by_division(rs: RootSystem, lam: Weight) -> GAElem:
-    """The oracle for :func:`weyl_character`: A(lam + rho) / Delta by
-    alternant division, on the enumerated Weyl group (rank <= 7)."""
-    rs.check_highest_weight(lam)
-    return divide_by_denominator(alternant(rs, lam + rs.rho), rs)
 
 
 def dominant_multiplicities(rs: RootSystem, lam: Weight) -> dict[tuple, int]:
@@ -678,13 +655,3 @@ def is_w_invariant(x: GAElem, rs: RootSystem) -> bool:
     """Invariance under the Weyl group, checked on the simple reflections,
     which generate it."""
     return all(x.act(w) == x for w in simple_reflections(rs))
-
-
-def natural_character(rs: RootSystem) -> GAElem:
-    """Orbit-sum construction of the character of the natural module: the
-    sum of e^mu over its known weight list (+-eps_i, plus 0 in type B).
-    Independent of the alternant route; used as an oracle."""
-    res: dict[tuple, QLaurent] = {}
-    for a in rs.iprime:
-        res[eps(rs.rank, a).dbl] = QL_ONE
-    return GAElem(rs.rank, res)

@@ -242,7 +242,7 @@ def cmd_solve_basis(args) -> int:
                     "numerator": e.num.to_json(),
                     "denominator": e.den.to_json(),
                 }
-                for e in sol.entries
+                for e in sol
             ],
             "certificate": cert,
         }
@@ -251,7 +251,7 @@ def cmd_solve_basis(args) -> int:
         lines = [
             f"E{e.k} = ({e.c_unit:+d}/({e.c_denom})) G{e.k} + "
             f"(lower terms; {len(e.num._per_weight())} numerator terms over denominator {e.den})"
-            for e in sol.entries
+            for e in sol
         ]
         return "\n".join(
             lines
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("solve-basis", help="triangular change of basis"))
     p = common(sub.add_parser("verify", help="run an identity suite"))
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--points", type=int, default=20)
+    p.add_argument("--points", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-rank", type=int, default=None)
     return parser
@@ -350,10 +350,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, RootDataError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DegenerateEvaluation, ExactArithmeticError) as exc:
+    except (
+        UsageError, RootDataError, ValueError, DegenerateEvaluation, ExactArithmeticError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

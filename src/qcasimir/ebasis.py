@@ -210,16 +210,6 @@ class TriangularEntry:
     den: QLaurent
 
 
-@dataclass(frozen=True)
-class TriangularSolution:
-    lie_type: LieType
-    rank: int
-    entries: tuple[TriangularEntry, ...]
-
-    def entry(self, k: int) -> TriangularEntry:
-        return self.entries[k - 1]
-
-
 def expected_leading_coeff(rs: RootSystem, k: int) -> QLaurent:
     """(-1)^{k+1} * (q^{c_n-1} + q^{c_n-3} + ... + q^{c_n+1-2k})."""
     sign = (-1) ** (k + 1)
@@ -228,12 +218,14 @@ def expected_leading_coeff(rs: RootSystem, k: int) -> QLaurent:
     )
 
 
-def triangular_solve(rs: RootSystem) -> TriangularSolution:
+@cache
+def triangular_solve(rs: RootSystem) -> tuple[TriangularEntry, ...]:
     """Invert the unit-triangular system expressing blocks in the E-basis.
 
     By induction on k: isolate E_k in g_in_e_basis(k), substitute the
     previously solved expressions for E_1..E_{k-1}, and clear denominators,
     so that E_k = num_k(G_1..G_k)/den_k with num_k over the Laurent ring.
+    Entry k - 1 of the result is the solution for E_k.
     """
     n = rs.rank
     solved_num: list[EPoly] = []
@@ -285,25 +277,27 @@ def triangular_solve(rs: RootSystem) -> TriangularSolution:
                 den=den,
             )
         )
-    return TriangularSolution(rs.lie_type, rs.rank, tuple(entries))
+    return tuple(entries)
 
 
-def round_trip_ok(rs: RootSystem, sol: TriangularSolution, k: int) -> bool:
+def round_trip_ok(rs: RootSystem, sol: tuple[TriangularEntry, ...], k: int) -> bool:
     """Substituting the E-basis expressions of the blocks into the k-th
     solution must reproduce den * E_k exactly."""
     n = rs.rank
     ghats = [g_in_e_basis(rs, j) for j in range(1, n + 1)]
-    entry = sol.entry(k)
+    entry = sol[k - 1]
     value = entry.num.substitute(ghats, EPoly.one(n))
     return value == EPoly.symbol(n, k, entry.den)
 
 
-def solution_ok_in_characters(rs: RootSystem, sol: TriangularSolution, k: int) -> bool:
+def solution_ok_in_characters(
+    rs: RootSystem, sol: tuple[TriangularEntry, ...], k: int
+) -> bool:
     """The same identity with every symbol bound to its actual character:
     num(g_1..g_n) = den * e_k in the group algebra."""
     n = rs.rank
     gs = [ch_g_via_antisym(rs, j).body for j in range(1, n + 1)]
-    entry = sol.entry(k)
+    entry = sol[k - 1]
     value = entry.num.substitute(gs, GAElem.one(n))
     return value == ext_power_char(rs, k).scale(entry.den)
 

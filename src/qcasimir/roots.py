@@ -249,13 +249,9 @@ class RootSystem:
         if not self.is_on_weight_lattice(lam):
             raise NotOnWeightLattice(f"{lam} is not on the weight lattice of {name}")
 
-    def hook_r_range(self) -> range:
-        """The raw hook column indices r = 0..c_n - 1."""
-        return range(self.c_n)
-
     def rbar(self, r: int) -> int:
-        """Fold the raw column index r into 0..n-1."""
-        if r not in self.hook_r_range():
+        """Fold the raw hook column index r, 0 <= r < c_n, into 0..n-1."""
+        if not 0 <= r < self.c_n:
             raise IndexOutOfRange(f"r={r} outside the admissible range")
         return min(r, self.c_n - 1 - r, self.rank - 1)
 
@@ -307,14 +303,6 @@ class HookWeight:
     bar_variant: bool = False
 
 
-def mu_weight(rs: RootSystem, rbar: int) -> Weight:
-    """eps_2 + ... + eps_{rbar+1} (zero when rbar == 0)."""
-    if not 0 <= rbar <= rs.rank - 1:
-        raise IndexOutOfRange(f"rbar={rbar} out of range")
-    dbl = [0] + [2] * rbar + [0] * (rs.rank - 1 - rbar)
-    return Weight(tuple(dbl))
-
-
 def hook_weight(rs: RootSystem, k: int, r: int, bar: bool = False) -> HookWeight:
     if k < 0:
         raise IndexOutOfRange("k must be >= 0")
@@ -324,9 +312,9 @@ def hook_weight(rs: RootSystem, k: int, r: int, bar: bool = False) -> HookWeight
             raise BarNotApplicable("barred hooks exist only in type D at r = n-1")
         dbl = [2 * (k - n + 1)] + [2] * (n - 2) + [-2]
         return HookWeight(k=k, r=r, weight=Weight(tuple(dbl)), bar_variant=True)
+    # (k - r) eps_1 + eps_2 + ... + eps_{rbar+1}
     rbar = rs.rbar(r)
-    w = mu_weight(rs, rbar).dbl
-    dbl = (2 * (k - r) + w[0],) + w[1:]
+    dbl = (2 * (k - r),) + (2,) * rbar + (0,) * (n - 1 - rbar)
     return HookWeight(k=k, r=r, weight=Weight(dbl))
 
 

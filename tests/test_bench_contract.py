@@ -1,18 +1,24 @@
-"""The layers that perfbench/tracing.py wraps exist where it looks for them.
+"""The names the benchmark harness reads exist where it looks for them.
 
 The tracer replaces module functions by name and methods through the class's
 own ``vars()``; a layer that is renamed, or a traced method that moves into a
 base class, would otherwise only show when a traced benchmark pass runs.
-The tracer module is loaded by path and nothing is wrapped.
+The tracer module is loaded by path and nothing is wrapped.  The workloads
+and the self-test call the package as ``qc.<name>``; those names are read
+from their source text, so nothing of the harness is imported.
 """
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import qcasimir
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -34,3 +40,13 @@ def test_traced_layer_is_where_the_tracer_looks(key):
     else:
         cls = getattr(module, cls_name)
         assert callable(vars(cls).get(fn_name))
+
+
+def test_package_exports_every_name_the_benchmark_reads():
+    names = {
+        name
+        for script in ("workloads.py", "selftest.py")
+        for name in re.findall(r"\bqc\.(\w+)", (PERFBENCH / script).read_text())
+    }
+    assert names
+    assert sorted(n for n in names if not hasattr(qcasimir, n)) == []

@@ -320,10 +320,11 @@ def test_missing_lambda_is_usage_error(capsys, argv):
         (("--suite", "thm44", "--rank", "5"), "selects no cases"),
         (("--suite", "stability", "--max-rank", "1"), "selects no cases"),
         (("--suite", "thm45", "--max-rank", "1"), "--max-rank"),
+        (("--suite", "eigen", "--points", "5"), "--points"),
     ],
     ids=(
         "points-0", "points-neg", "rank-7", "B5", "thm44-rank-5",
-        "stability-max-rank-1", "thm45-max-rank-1",
+        "stability-max-rank-1", "thm45-max-rank-1", "eigen-points",
     ),
 )
 def test_verify_selection_without_cases_is_usage_error(capsys, argv, message):

@@ -193,7 +193,7 @@ class TestTriangularSolve:
     def test_c1_printed_value(self):
         # c_1 = +1 / q^{c_n - 1}; in type B that is q^{1-2n}
         for rs in SMALL:
-            entry = triangular_solve(rs).entry(1)
+            entry = triangular_solve(rs)[0]
             assert entry.c_unit == 1
             assert entry.c_denom == Q(rs.c_n - 1)
             # first solution has no lower-order terms at all
@@ -202,7 +202,7 @@ class TestTriangularSolve:
 
     def test_all_leading_pairs_nonzero(self):
         for rs in SMALL:
-            for e in triangular_solve(rs).entries:
+            for e in triangular_solve(rs):
                 assert e.c_denom and e.den
 
 

@@ -117,7 +117,7 @@ def test_derived_data_match_the_per_type_closed_forms(lie, n):
     assert rs.kappa_n == form["kappa_n"](n)
     assert rs.dim_natural == form["dim_natural"](n)
     columns = form["hook_columns"](n)
-    assert rs.hook_r_range() == range(columns)
+    assert columns == rs.c_n
     assert [rs.rbar(r) for r in range(columns)] == [
         form["rbar"](n, r) for r in range(columns)
     ]
