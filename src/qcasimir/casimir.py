@@ -20,7 +20,10 @@ as chamber forms {nu: c_nu} with G_{n,k} = sum over nu of c_nu chi_{nu-rho}:
 step, :func:`~qcasimir.chars.character_sum`.  Their exact agreement (for every k) is the central identity of the package
 and is what the verification suites establish.  A third, purely numeric
 route evaluates the raw rational forms at exact rational points and serves
-as an oracle for both.
+as an oracle for both.  The eigenvalue of the order-ell invariant on a
+simple module, :func:`eigenvalue_direct`, is the rational torus image at
+L_a = q^{2(lam + rho, eps_a)}; :func:`eigenvalue_via_hc` reaches it through
+the symbolic torus image instead.
 """
 
 from __future__ import annotations
@@ -151,9 +154,9 @@ def hook_terms(rs: RootSystem, k: int) -> tuple[HookTerm, ...]:
         sign = (-1) ** r * (tau(rs, r) if lie is LieType.C else 1)
         if not sign:
             continue
-        weights = (hook_weight(rs, k, r).weight,)
+        weights = (hook_weight(rs, k, r),)
         if lie is LieType.D and r == n - 1:
-            weights += (hook_weight(rs, k, r, bar=True).weight,)
+            weights += (hook_weight(rs, k, r, bar=True),)
         terms.append((sign, 4 * (rs.c_n - 1 - 2 * r), weights))
     if lie is LieType.B:
         if k % 2 == 0 or k > top:
@@ -423,102 +426,24 @@ def eigenvalue_direct(
     rs: RootSystem, lam: Weight, ell: int, s: Coeff
 ) -> Fraction:
     """Scalar by which the order-ell invariant acts on the simple module of
-    highest weight lam, from the explicit per-type sum over the index set.
+    highest weight lam: the raw rational torus image :func:`c0_rational_eval`
+    at e^{eps_i/2} := q^{(lam + rho)_i}, that is L_a = q^{2(lam + rho,
+    eps_a)}.
 
     At ell = 0 the invariant is the quantum dimension of the natural module,
-    a constant.  Points where a denominator vanishes (for instance lam_n = 0
-    in types B and D, where the two index signs of the last coordinate
-    collide) raise DegenerateEvaluation.
+    a constant.  q = 0, and q = 1 at ell >= 1, raise DegenerateEvaluation
+    before the point is formed.  On dominant weights the one other refusal
+    is lam_n = 0 in type D, where L_n = L_{-n} = 1.
     """
     rs.check_highest_weight(lam)
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    q = Fraction(s) ** 4
-    if q == 0 or (ell and q in (1, -1)):
+    s = Fraction(s)
+    if s == 0 or (ell and s**4 == 1):
         raise DegenerateEvaluation("q must avoid 0 and roots of unity")
     if ell == 0:
         return closed_form_g0(rs).evaluate(s, [1] * rs.rank)
-    lam_rho = lam + rs.rho
-    # pair_a = (eps_a, 2 rho + 2 lam + eps_a); its sign-flipped and zero slots
-    def pair_a(a: int) -> int:
-        if a == 0:
-            return 0
-        d = lam_rho.dbl[abs(a) - 1]
-        return d + 1 if a > 0 else -d + 1
-
-    def pair_b_minus(b: int) -> int:
-        # (eps_b, 2 rho + 2 lam - eps_b)
-        if b == 0:
-            return 0
-        d = lam_rho.dbl[abs(b) - 1]
-        return d - 1 if b > 0 else -d - 1
-
-    # Every factor below is a difference of q-powers, q^x - q^y = q^lo (q^d
-    # - 1) with lo = min(x, y) and d = |x - y|: over q = Q/R, the int
-    # +-(Q^d - R^d) times the monomial Q^lo / R^(lo + d).  Each term keeps
-    # the ints of its factors apart from the exponents of its monomial, so
-    # an int has the bit size of its own gap d, not of the whole exponent
-    # span, and each index gives one ratio of integers.
-    Q, R = q.numerator, q.denominator
-    gaps: dict[int, int] = {}
-
-    def diff(x: int, y: int) -> tuple[int, int, int]:
-        """q^x - q^y as (g, lo, hi), the value g * Q^lo / R^hi."""
-        lo, hi = (y, x) if x >= y else (x, y)
-        g = gaps.get(hi - lo)
-        if g is None:
-            g = gaps[hi - lo] = Q ** (hi - lo) - R ** (hi - lo)
-        return (g if x >= y else -g), lo, hi
-
-    pairs = [(b, pair_a(b), pair_b_minus(b)) for b in rs.iprime]
-    total = Fraction(0)
-    for a, aa, _ in pairs:
-        # the term is num / den * Q^eq * R^er; first f(a) = num / den
-        if a == 0:
-            num = den = 1
-            eq = er = 0
-        else:
-            if aa == 0:  # q^(2 aa) - 1 = 0
-                raise DegenerateEvaluation(f"f({a}) denominator vanishes")
-            den, lo, hi = diff(2 * aa, 0)
-            eq, er = -lo, hi
-            if rs.lie_type is LieType.B:
-                # q^(2aa) + q^(aa+1) - q^(aa-1) - 1 = (q^aa - q^-1)(q^aa + q)
-                num, lo, hi = diff(aa, -1)
-                lo2, hi2 = min(aa, 1), max(aa, 1)
-                num *= Q ** (hi2 - lo2) + R ** (hi2 - lo2)
-                eq, er = eq + lo + lo2, er - hi - hi2
-            else:
-                num, lo, hi = diff(2 * aa, -2 if rs.lie_type is LieType.C else 2)
-                eq, er = eq + lo, er - hi
-        lead = rs.c_n - (a != 0)
-        g, lo, hi = diff(aa - rs.c_n, 0)
-        num *= g**ell
-        eq, er = eq + lead + ell * lo, er - lead - ell * hi
-        for b, bb, bb_minus in pairs:
-            if b == a:
-                continue
-            if bb == aa:
-                raise DegenerateEvaluation(
-                    f"index pair ({a},{b}) collides at this weight"
-                )
-            g, lo, hi = diff(aa, bb_minus)
-            num *= g
-            eq, er = eq + lo, er - hi
-            g, lo, hi = diff(aa, bb)
-            den *= g
-            eq, er = eq - lo, er + hi
-        if eq >= 0:
-            num *= Q**eq
-        else:
-            den *= Q**-eq
-        if er >= 0:
-            num *= R**er
-        else:
-            den *= R**-er
-        total += Fraction(num, den)
-    # 1 / (q - 1/q)^ell = (QR)^ell / (Q^2 - R^2)^ell
-    return total * Fraction((Q * R) ** ell, diff(1, -1)[0] ** ell)
+    return c0_rational_eval(rs, ell, s, [s ** (2 * d) for d in (lam + rs.rho).dbl])
 
 
 def eigenvalue_via_hc(

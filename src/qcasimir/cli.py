@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands construct the package's objects and render them as JSON (the
-machine contract), plain text, or display-only LaTeX; ``verify`` runs the
-identity suites and exits 0 only if every case passes.  All results go to
+machine contract), plain text, or display-only LaTeX where they have it;
+``verify`` runs the identity suites, prints the JSON report and exits 0 only
+if every case passes.  All results go to
 stdout, diagnostics to stderr.  Exit codes: 0 success, 1 verification
 failure, 2 usage or configuration error.
 """
@@ -96,9 +97,10 @@ def _ga_latex(x: GAElem) -> str:
     return " + ".join(parts)
 
 
-def _emit(args, payload, text, latex) -> None:
+def _emit(args, payload, text, latex=None) -> None:
     """Print the rendering that --format names.  Each rendering is passed as
-    a zero-argument callable, so the two not asked for are never built."""
+    a zero-argument callable, so those not asked for are never built; a
+    subcommand without ``latex`` does not offer it."""
     if args.format == "json":
         print(json.dumps(payload(), indent=2))
     elif args.format == "latex":
@@ -202,7 +204,7 @@ def cmd_eig(args) -> int:
         "equal": direct == via_hc,
     }
     text = f"direct = {direct}, via torus image = {via_hc}, equal = {direct == via_hc}"
-    _emit(args, lambda: payload, lambda: text, lambda: text)
+    _emit(args, lambda: payload, lambda: text)
     return 0 if direct == via_hc else 1
 
 
@@ -210,18 +212,18 @@ def cmd_hook(args) -> int:
     rs = _system(args)
     if args.k is None or args.r is None:
         raise UsageError("--k and --r are required")
-    hw = hook_weight(rs, args.k, args.r, bar=args.bar)
+    w = hook_weight(rs, args.k, args.r, bar=args.bar)
     payload = {
         "type": rs.lie_type.value,
         "rank": rs.rank,
-        "k": hw.k,
-        "r": hw.r,
-        "bar": hw.bar_variant,
-        "weight": hw.weight.to_json(),
-        "dominant": rs.is_dominant(hw.weight),
+        "k": args.k,
+        "r": args.r,
+        "bar": args.bar,
+        "weight": w.to_json(),
+        "dominant": rs.is_dominant(w),
     }
-    text = f"hook weight k={hw.k} r={hw.r}{' bar' if hw.bar_variant else ''}: {hw.weight}"
-    _emit(args, lambda: payload, lambda: text, lambda: _weight_latex(hw.weight))
+    text = f"hook weight k={args.k} r={args.r}{' bar' if args.bar else ''}: {w}"
+    _emit(args, lambda: payload, lambda: text, lambda: _weight_latex(w))
     return 0
 
 
@@ -261,7 +263,7 @@ def cmd_solve_basis(args) -> int:
             ]
         )
 
-    _emit(args, payload, text, text)
+    _emit(args, payload, text)
     return 0
 
 
@@ -296,12 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, lam=False, k=False, ell=False):
+    def common(p, lam=False, k=False, ell=False, formats=("json", "latex", "text")):
         p.add_argument("--type", choices=[t.value for t in LieType])
         p.add_argument("--rank", type=int)
-        p.add_argument(
-            "--format", choices=("json", "latex", "text"), default="json"
-        )
+        if formats:
+            p.add_argument("--format", choices=formats, default="json")
         if lam:
             p.add_argument(
                 "--lambda",
@@ -319,13 +320,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("gnk", help="block character G_{n,k}"), k=True)
     p.add_argument("--route", choices=("antisym", "hooks"), default="antisym")
     common(sub.add_parser("hc", help="order-ell torus image"), ell=True)
-    p = common(sub.add_parser("eig", help="eigenvalue two ways"), lam=True, ell=True)
+    p = common(
+        sub.add_parser("eig", help="eigenvalue two ways"),
+        lam=True,
+        ell=True,
+        formats=("json", "text"),
+    )
     p.add_argument("--s", default="2", help="rational value for q^(1/4)")
     p = common(sub.add_parser("hook", help="hook weight"), k=True)
     p.add_argument("--r", type=int)
     p.add_argument("--bar", action="store_true")
-    common(sub.add_parser("solve-basis", help="triangular change of basis"))
-    p = common(sub.add_parser("verify", help="run an identity suite"))
+    common(
+        sub.add_parser("solve-basis", help="triangular change of basis"),
+        formats=("json", "text"),
+    )
+    p = common(sub.add_parser("verify", help="run an identity suite"), formats=())
     p.add_argument("--suite", choices=SUITES, default="all")
     p.add_argument("--points", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)

@@ -292,30 +292,19 @@ def build_root_system(lie: LieType, n: int, /) -> RootSystem:
     )
 
 
-@dataclass(frozen=True)
-class HookWeight:
-    """The highest weight (k-r)*eps_1 + mu_rbar, or its barred variant
-    (type D, r = n-1 only), together with its indexing data."""
-
-    k: int
-    r: int
-    weight: Weight
-    bar_variant: bool = False
-
-
-def hook_weight(rs: RootSystem, k: int, r: int, bar: bool = False) -> HookWeight:
+def hook_weight(rs: RootSystem, k: int, r: int, bar: bool = False) -> Weight:
+    """The highest weight (k-r)*eps_1 + mu_rbar, or its barred variant (type
+    D, r = n-1 only)."""
     if k < 0:
         raise IndexOutOfRange("k must be >= 0")
     n = rs.rank
     if bar:
         if rs.lie_type is not LieType.D or r != n - 1:
             raise BarNotApplicable("barred hooks exist only in type D at r = n-1")
-        dbl = [2 * (k - n + 1)] + [2] * (n - 2) + [-2]
-        return HookWeight(k=k, r=r, weight=Weight(tuple(dbl)), bar_variant=True)
+        return Weight((2 * (k - n + 1),) + (2,) * (n - 2) + (-2,))
     # (k - r) eps_1 + eps_2 + ... + eps_{rbar+1}
     rbar = rs.rbar(r)
-    dbl = (2 * (k - r),) + (2,) * rbar + (0,) * (n - 1 - rbar)
-    return HookWeight(k=k, r=r, weight=Weight(dbl))
+    return Weight((2 * (k - r),) + (2,) * rbar + (0,) * (n - 1 - rbar))
 
 
 def tau(rs: RootSystem, r: int) -> int:

@@ -280,11 +280,9 @@ class TestRouteEquality:
             t = 1 if taus is None else taus(r)
             if t == 0:
                 continue
-            chi = weyl_character(rs, hook_weight(rs, k, r).weight)
+            chi = weyl_character(rs, hook_weight(rs, k, r))
             if rs.lie_type is LieType.D and r == rs.rank - 1:
-                chi = chi + weyl_character(
-                    rs, hook_weight(rs, k, r, bar=True).weight
-                )
+                chi = chi + weyl_character(rs, hook_weight(rs, k, r, bar=True))
             total = total + chi.scale(Q(power_of(r), (-1) ** r * t))
         return total
 
@@ -460,13 +458,15 @@ class TestEigenvalues:
                     D4, lam, ell, 2
                 )
 
-    def test_half_spin_smallest_coordinate_is_degenerate(self):
-        # |lam_n| = 1/2 zeroes the f-factor denominator the same way
-        # lam_n = 0 collides the index pair; the singularity is removable
-        # only after combining terms, so the explicit sum refuses the point
-        with pytest.raises(DegenerateEvaluation):
-            eigenvalue_direct(D4, Weight((5, 3, 1, 1)), 1, 2)
-        assert eigenvalue_via_hc(D4, Weight((5, 3, 1, 1)), 1, 2) is not None
+    def test_smallest_coordinate_half_spin_or_zero_is_regular(self):
+        # |lam_n| = 1/2 in D and lam_n = 0 in B are no poles of the
+        # eigenvalue: L_n and L_{-n} stay apart
+        for rs, lam in ((B2, Weight((4, 0))), (D4, Weight((5, 3, 1, 1)))):
+            for ell in range(1, rs.rank + 1):
+                for s in (2, Fraction(1, 2), Fraction(3, 2)):
+                    assert eigenvalue_direct(rs, lam, ell, s) == eigenvalue_via_hc(
+                        rs, lam, ell, s
+                    )
 
     # integral and spin weights (doubled coordinates); type D takes both
     # signs of the last coordinate
@@ -505,8 +505,7 @@ class TestEigenvalues:
                 )
 
     def test_structural_degeneracies_raise(self):
-        with pytest.raises(DegenerateEvaluation):
-            eigenvalue_direct(B2, Weight((4, 0)), 1, 2)  # last coord zero
+        # lam_n = 0 in D: L_n = L_{-n} = 1
         with pytest.raises(DegenerateEvaluation):
             eigenvalue_direct(D4, Weight((4, 2, 2, 0)), 1, 2)
 

@@ -252,6 +252,23 @@ def test_verify_seed_recorded(capsys):
     assert json.loads(out)["seed"] == 11
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--suite", "thm44", "--type", "B", "--rank", "2", "--format", "text"),
+        ("eig", "--type", "C", "--rank", "3", "--lambda", "2,1,0", "--ell", "2",
+         "--format", "latex"),
+        ("solve-basis", "--type", "B", "--rank", "2", "--format", "latex"),
+    ],
+    ids=lambda a: a[0],
+)
+def test_format_without_that_rendering_is_usage_error(capsys, argv):
+    # verify prints its JSON report only; eig and solve-basis have no LaTeX
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *argv)
+    assert exc.value.code == 2
+
+
 def test_verify_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "verify", "--suite", "nope")

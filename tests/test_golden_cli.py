@@ -91,6 +91,14 @@ def _commands() -> list[tuple[str, ...]]:
         ("char", "--type", "D", "--rank", "4", "--lambda", "3/2,1/2,1/2,1/2",
          "--format", "json")
     )
+    # Poles of the regrouped eigenvalue sum that the eigenvalue does not
+    # have: lam_n = 0 in B and |lam_n| = 1/2 in D.
+    for t, n, lam, ell in (("B", "2", "1,0", "1"), ("D", "4", "1/2,1/2,1/2,1/2", "2")):
+        for fmt in ("json", "text"):
+            cmds.append(
+                ("eig", "--type", t, "--rank", n, "--lambda", lam, "--ell", ell,
+                 "--format", fmt)
+            )
     # The raw rational oracles against both symbolic evaluations.
     for t, n in (("B", "3"), ("D", "4")):
         cmds.append(("verify", "--suite", "oracle", "--type", t, "--rank", n, "--points", "5"))
@@ -200,6 +208,10 @@ GOLDEN: dict[tuple[str, ...], tuple[int, str]] = {
     ('char', '--type', 'D', '--rank', '4', '--lambda', '3/2,1/2,1/2,1/2', '--format', 'json'): (0, 'b84232749f8c03fb8d9d16e64a3b1504b6d9d637d95e708e35858ef92c707b32'),
     ('verify', '--suite', 'oracle', '--type', 'B', '--rank', '3', '--points', '5'): (0, '3e364143a0ac05c645d0ef4d72ae826722b2a168ac7a368858b6c8857ed81067'),
     ('verify', '--suite', 'oracle', '--type', 'D', '--rank', '4', '--points', '5'): (0, '06437cf99e5d9c9bb6510439ab227fed0fa426f5e05810ada3e1cf5b317bfc58'),
+    ('eig', '--type', 'B', '--rank', '2', '--lambda', '1,0', '--ell', '1', '--format', 'json'): (0, '4a492f1744c7f67cf4d6a8c1c8f16ec0157eae709d560a6a2861931bc9a6b851'),
+    ('eig', '--type', 'B', '--rank', '2', '--lambda', '1,0', '--ell', '1', '--format', 'text'): (0, '7115fbc3c1a56ebbbca65b5f80f8ec4629f97831e131b329becff1b55484bc00'),
+    ('eig', '--type', 'D', '--rank', '4', '--lambda', '1/2,1/2,1/2,1/2', '--ell', '2', '--format', 'json'): (0, 'be41f30c645864a7bc3dd07082243b2f4ff2e633f5d1b0b7b18d9846f2acf39a'),
+    ('eig', '--type', 'D', '--rank', '4', '--lambda', '1/2,1/2,1/2,1/2', '--ell', '2', '--format', 'text'): (0, '29d055dde49c807a0dac3a7e56654f1be450415e117b9170e102413f93b8da6f'),
 }
 
 

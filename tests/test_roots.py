@@ -197,9 +197,9 @@ def test_fundamental_weight_index_errors():
 
 class TestHookWeights:
     def test_examples(self):
-        assert hook_weight(B3, 2, 1).weight.coords == (1, 1, 0)
-        assert hook_weight(C3, 5, 4).weight.coords == (1, 1, 1)  # rbar = 2
-        assert hook_weight(D4, 4, 3, bar=True).weight.coords == (1, 1, 1, -1)
+        assert hook_weight(B3, 2, 1).coords == (1, 1, 0)
+        assert hook_weight(C3, 5, 4).coords == (1, 1, 1)  # rbar = 2
+        assert hook_weight(D4, 4, 3, bar=True).coords == (1, 1, 1, -1)
 
     def test_bar_restrictions(self):
         with pytest.raises(BarNotApplicable):
@@ -222,12 +222,11 @@ class TestHookWeights:
         for rs in ALL:
             for r in range(rs.rank):
                 for k in range(r + 1, r + 4):
-                    hw = hook_weight(rs, k, r)
-                    assert rs.is_dominant(hw.weight), (rs.lie_type, k, r)
+                    assert rs.is_dominant(hook_weight(rs, k, r)), (rs.lie_type, k, r)
 
     def test_barred_hooks_dominant_iff_k_at_least_n(self):
-        assert not D4.is_dominant(hook_weight(D4, 3, 3, bar=True).weight)
-        assert D4.is_dominant(hook_weight(D4, 4, 3, bar=True).weight)
+        assert not D4.is_dominant(hook_weight(D4, 3, 3, bar=True))
+        assert D4.is_dominant(hook_weight(D4, 4, 3, bar=True))
 
 
 def test_tau_table():
