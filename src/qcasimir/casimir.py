@@ -23,7 +23,9 @@ route evaluates the raw rational forms at exact rational points and serves
 as an oracle for both.  The eigenvalue of the order-ell invariant on a
 simple module, :func:`eigenvalue_direct`, is the rational torus image at
 L_a = q^{2(lam + rho, eps_a)}; :func:`eigenvalue_via_hc` reaches it through
-the symbolic torus image instead.
+the symbolic torus image instead.  Every invariant is central, so no
+dominant weight is a pole: both routes refuse only q in {0, 1}, and the raw
+rational forms only where one of their stated denominators vanishes.
 """
 
 from __future__ import annotations
@@ -273,14 +275,17 @@ def _quotient_at(num: QLaurent, den: QLaurent, s: Coeff) -> Fraction:
     When den(s) = 0, common (v - s) factors (v = q^(1/4)) are cancelled
     first: vanishing at v = s is exactly divisibility by (v - s).  The
     (q^{-1} - q) powers vanish at the rational points v = 1 and v = -1 (both
-    q = 1), so this clears the classical limit from either side.  A pole
+    q = 1), so this clears the classical limit from either side.  A zero
+    numerator is 0 (the trivial module's image at every ell >= 1); a pole
     that survives raises :class:`DegenerateEvaluation`.
     """
     dval = den.evaluate(s)
     if dval:
         return num.evaluate(s) / dval
+    if not num.terms:
+        return Fraction(0)
     factor = QLaurent({1: 1, 0: -Fraction(s)})  # v - s
-    while num.terms and num.evaluate(s) == 0 and den.evaluate(s) == 0:
+    while num.evaluate(s) == 0 and den.evaluate(s) == 0:
         num = num.div_exact(factor)
         den = den.div_exact(factor)
     dval = den.evaluate(s)
@@ -342,9 +347,11 @@ def _pref_and_p(
     is (Q^2 p_a r_b - R^2 p_b r_a) / (QR (p_a r_b - p_b r_a)); the
     prefactor is (Q^2 p_a^2 - R^2 r_a^2 + (Q^2 - R^2) p_a r_a) / (QR (p_a^2
     - r_a^2)) in type B, (Q^4 p_a^2 - R^4 r_a^2) / (Q^2 R^2 (p_a^2 -
-    r_a^2)) in type C and 1 in type D."""
+    r_a^2)) in type C and 1 in type D.  The denominators are the whole pole
+    set: L_a = L_b (b != +-a) everywhere, and L_a = 1/L_a only in types B
+    and C, whose prefactors divide by L_a - L_{-a}."""
     pa, ra = lvals[a]
-    if pa == ra:  # p, r > 0: L_a = 1/L_a
+    if pa == ra and rs.lie_type is not LieType.D:  # p, r > 0: L_a = 1/L_a
         raise DegenerateEvaluation("L_a on the unit circle: L_a = 1/L_a")
     QQ, RR = Q * Q, R * R
     if rs.lie_type is LieType.B:
@@ -432,8 +439,9 @@ def eigenvalue_direct(
 
     At ell = 0 the invariant is the quantum dimension of the natural module,
     a constant.  q = 0, and q = 1 at ell >= 1, raise DegenerateEvaluation
-    before the point is formed.  On dominant weights the one other refusal
-    is lam_n = 0 in type D, where L_n = L_{-n} = 1.
+    before the point is formed; they are the only refusals, since a
+    dominant lam + rho has distinct |coordinates|, nonzero outside the last
+    slot of type D, where L_n = L_{-n} = 1 divides by nothing.
     """
     rs.check_highest_weight(lam)
     if ell < 0:

@@ -142,7 +142,7 @@ def test_criterion_07_eigenvalue_consistency():
     _report(
         7,
         "explicit eigenvalue sum = torus image evaluation, 10 random weights",
-        lambda: eigen_cases(SYSTEMS, samples=10, seed=SEED),
+        lambda: eigen_cases(SYSTEMS, seed=SEED),
     )
 
 

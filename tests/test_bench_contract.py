@@ -6,12 +6,14 @@ base class, would otherwise only show when a traced benchmark pass runs.
 The tracer module is loaded by path and nothing is wrapped.  The workloads
 and the self-test call the package as ``qc.<name>``; those names are read
 from their source text.  The workloads module is loaded by path only to
-read its spectrum weights, which must all be regular points of the
-eigenvalue.
+read its spectrum weights: those it samples must evaluate, and those it
+excludes as poles must evaluate too, since no dominant weight is a pole of
+the eigenvalue.
 """
 
 import importlib
 import importlib.util
+import itertools
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -68,3 +70,25 @@ def test_spectrum_weights_evaluate_through_eigenvalue_direct():
                     assert type(qcasimir.eigenvalue_direct(rs, lam, ell, s)) is Fraction
             weights += 1
     assert weights
+
+
+def test_weights_the_spectrum_excludes_as_poles_evaluate():
+    workloads = _load("workloads")
+    top = workloads.SPECTRUM_MAX_COORD
+    box = 0
+    for lie, n, *_ in workloads.SPECTRUM:
+        rs = qcasimir.build_root_system(qcasimir.LieType(lie), n)
+        for shift in (0, 1) if lie in "BD" else (0,):
+            for coords in itertools.combinations_with_replacement(range(top, -1, -1), n):
+                dbl = tuple(2 * c + shift for c in coords)
+                for d in {dbl, dbl[:-1] + (-dbl[-1],)} if lie == "D" else {dbl}:
+                    box += 1
+                    if not workloads.is_pole(lie, d):
+                        continue
+                    lam = qcasimir.Weight(d)
+                    for ell in (1, 2):
+                        for s in workloads.EIGEN_S:
+                            assert qcasimir.eigenvalue_direct(
+                                rs, lam, ell, s
+                            ) == qcasimir.eigenvalue_via_hc(rs, lam, ell, s)
+    assert box

@@ -459,22 +459,28 @@ class TestEigenvalues:
                 )
 
     def test_smallest_coordinate_half_spin_or_zero_is_regular(self):
-        # |lam_n| = 1/2 in D and lam_n = 0 in B are no poles of the
-        # eigenvalue: L_n and L_{-n} stay apart
-        for rs, lam in ((B2, Weight((4, 0))), (D4, Weight((5, 3, 1, 1)))):
+        # |lam_n| = 1/2 in D and lam_n = 0 in B and D are no poles of the
+        # eigenvalue: L_n and L_{-n} stay apart, and in D, where lam_n = 0
+        # makes L_n = L_{-n} = 1, nothing divides by L_n - L_{-n}
+        regular = (
+            (B2, Weight((4, 0))),
+            (D4, Weight((5, 3, 1, 1))),
+            (D4, Weight((4, 2, 2, 0))),
+        )
+        for rs, lam in regular:
             for ell in range(1, rs.rank + 1):
                 for s in (2, Fraction(1, 2), Fraction(3, 2)):
                     assert eigenvalue_direct(rs, lam, ell, s) == eigenvalue_via_hc(
                         rs, lam, ell, s
                     )
 
-    # integral and spin weights (doubled coordinates); type D takes both
-    # signs of the last coordinate
+    # the trivial weight, integral and spin weights (doubled coordinates);
+    # type D takes both signs of the last coordinate
     CLASSICAL = (
-        (B2, ((2, 0), (1, 1), (3, 1), (5, 3))),
-        (B3, ((2, 2, 0), (4, 2, 2), (3, 3, 1))),
-        (C3, ((2, 0, 0), (4, 2, 0), (6, 2, 2))),
-        (D4, ((2, 2, 2, -2), (4, 2, 0, 0), (1, 1, 1, 1), (3, 1, 1, -1))),
+        (B2, ((0, 0), (2, 0), (1, 1), (3, 1), (5, 3))),
+        (B3, ((0, 0, 0), (2, 2, 0), (4, 2, 2), (3, 3, 1))),
+        (C3, ((0, 0, 0), (2, 0, 0), (4, 2, 0), (6, 2, 2))),
+        (D4, ((0, 0, 0, 0), (2, 2, 2, -2), (4, 2, 0, 0), (1, 1, 1, 1), (3, 1, 1, -1))),
     )
 
     def test_classical_limit_at_s_one(self):
@@ -503,11 +509,6 @@ class TestEigenvalues:
                 assert eigenvalue_via_hc(rs, lam, 2, -1) == 2 * pairing(
                     lam, lam + rs.rho.scale(2)
                 )
-
-    def test_structural_degeneracies_raise(self):
-        # lam_n = 0 in D: L_n = L_{-n} = 1
-        with pytest.raises(DegenerateEvaluation):
-            eigenvalue_direct(D4, Weight((4, 2, 2, 0)), 1, 2)
 
     # (1/2, 1/2, 1/2) is dominant for C3 but no weight of C3, and (1, 1/2, 1/2)
     # mixes the grids of B3; neither is the highest weight of a module

@@ -9,8 +9,10 @@ forms those kernels replaced: sum(c * s**e), the per-term product of point
 powers, the Fraction bodies of the two rational forms, and the per-type
 regrouped eigenvalue sum.  Each kernel must agree with its oracle exactly,
 return a Fraction, and raise DegenerateEvaluation (or ValueError) on
-exactly the same inputs with the same message; the regrouped sum, which
-has poles of its own, is compared as its test says.
+exactly the same inputs with the same message.  Two oracles refuse more
+than their kernel, and there the kernel must give the symbolic route's
+value: the regrouped sum has poles of its own, and the literal rational
+forms refuse L_a = 1/L_a in type D too, where nothing divides by it.
 """
 
 import random
@@ -28,6 +30,7 @@ from qcasimir.casimir import (
     g_rational_eval,
     hc_combination,
     hc_denominator,
+    hc_value,
 )
 from qcasimir.chars import GridMismatch, weyl_character
 from qcasimir.exact import QLaurent, _cleared_powers
@@ -42,8 +45,8 @@ SYSTEMS = {
 S_VALUES = (2, 3, Fraction(1, 2), -2, Fraction(3, 2))
 
 # Dominant weights: spin weights in B, half-spin weights of both signs in D,
-# and last coordinate 0 in B and D (a pole of the literal sum; in D also a
-# pole of the eigenvalue).
+# and last coordinate 0 in B and D (a pole of the literal sum, none of the
+# eigenvalue).
 WEIGHTS = {
     "B2": ("0,0", "1,0", "2,1", "1/2,1/2", "3/2,1/2"),
     "B3": ("0,0,0", "2,1,0", "1,1,1", "3/2,1/2,1/2", "5/2,3/2,1/2"),
@@ -229,6 +232,11 @@ def literal_c0_rational_eval(rs, ell, s, half_point):
     return total
 
 
+def _mask(message):
+    """An error message with its digits masked, so that branches compare."""
+    return re.sub(r"-?\d+", "#", message)
+
+
 def outcome(f, *args):
     """The exact value (checked to be a Fraction), or the type and message
     of the error a degenerate or malformed input raises."""
@@ -317,14 +325,23 @@ def test_specialize_matches_the_per_term_product(name):
 # -- eigenvalue_direct ---------------------------------------------------------
 
 
+# The literal sum regroups the rational form and so adds poles of its own:
+# f(a) at lam_n = 0 in B and |lam_n| = 1/2 in D, and the colliding pair
+# (n, -n) at lam_n = 0 in D.  No dominant weight is a pole of the
+# eigenvalue, so there eigenvalue_direct must give the torus route's value.
+# Per type, the literal refusals that the weights reach, digits masked:
+LITERAL_SUM_POLES = {
+    LieType.B: {"f(#) denominator vanishes"},
+    LieType.C: set(),
+    LieType.D: {"f(#) denominator vanishes", "index pair (#,#) collides at this weight"},
+}
+
+
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_eigenvalue_direct_matches_the_literal_sum(name):
-    # The literal sum regroups the rational form and so adds poles of its
-    # own (lam_n = 0 in B, |lam_n| = 1/2 in D): there eigenvalue_direct must
-    # give the torus route's value.  Its other refusals, the colliding index
-    # pair of lam_n = 0 in D and the q checks, stay refusals.
+    # the q checks are the only refusals left, with identical messages
     rs = SYSTEMS[name]
-    degenerate = former_poles = 0
+    poles, refusals = set(), 0
     for text in WEIGHTS[name]:
         lam = _weight(text)
         for ell in range(rs.rank + 1):
@@ -333,17 +350,15 @@ def test_eigenvalue_direct_matches_the_literal_sum(name):
                 literal = outcome(literal_eigenvalue_direct, rs, lam, ell, s)
                 if not isinstance(literal, tuple):
                     assert got == literal
-                elif "f(" in literal[1]:
-                    assert got == eigenvalue_via_hc(rs, lam, ell, s)
-                    former_poles += 1
+                elif literal[1].startswith("q "):
+                    assert got == literal
+                    refusals += 1
                 else:
-                    assert isinstance(got, tuple) and got[0] == "DegenerateEvaluation"
-                    if literal[1].startswith("q "):
-                        assert got == literal
-                    degenerate += 1
+                    assert got == eigenvalue_via_hc(rs, lam, ell, s)
+                    poles.add(_mask(literal[1]))
     # the comparison reaches both kinds of point
-    assert degenerate
-    assert former_poles or rs.lie_type is LieType.C
+    assert refusals
+    assert poles == LITERAL_SUM_POLES[rs.lie_type]
 
 
 @pytest.mark.parametrize(
@@ -390,48 +405,75 @@ def _oracle_points(rank):
 
 ORACLE_S = S_VALUES + (1, -1, 0)
 
-# Every error both oracles raise, digits masked.
-BRANCHES = {
+# Every error the kernels raise, digits masked, per type.  Only the B and C
+# prefactors divide by L_a - L_{-a}; the type D prefactor is 1 and its
+# product skips b = -a, so where the literal form refuses L_a = 1/L_a in
+# type D the kernel must give the symbolic route's value.
+UNIT_CIRCLE = "L_a on the unit circle: L_a = 1/L_a"
+COMMON_BRANCHES = {
     "q = #",
     "point length differs from rank",
     "zero point entry",
-    "L_a on the unit circle: L_a = #/L_a",
     "L_# collides with L_#",
 }
+BRANCHES = {
+    LieType.B: COMMON_BRANCHES | {_mask(UNIT_CIRCLE)},
+    LieType.C: COMMON_BRANCHES | {_mask(UNIT_CIRCLE)},
+    LieType.D: COMMON_BRANCHES,
+}
+
+
+def _against_the_literal_form(rs, kernel, literal, symbolic, orders):
+    """Compare kernel with its literal form at every order, s and oracle
+    point.  Returns the masked errors the kernel raises, how many values it
+    returns, and how many of them sit where only the literal form refuses."""
+    seen, values, unit_circle = set(), 0, 0
+    for order in orders:
+        for s in ORACLE_S:
+            for pt in _oracle_points(rs.rank):
+                got = outcome(kernel, rs, order, s, pt)
+                expected = outcome(literal, rs, order, s, pt)
+                if rs.lie_type is LieType.D and expected == (
+                    "DegenerateEvaluation", UNIT_CIRCLE
+                ):
+                    assert got == symbolic(rs, order, s, pt)
+                    unit_circle += 1
+                else:
+                    assert got == expected
+                if isinstance(got, tuple):
+                    seen.add(_mask(got[1]))
+                else:
+                    values += 1
+    return seen, values, unit_circle
+
+
+def _block_value(rs, k, s, pt):
+    return ch_g_via_antisym(rs, k).body.evaluate(s, pt)
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_g_rational_eval_matches_the_literal_form(name):
     rs = SYSTEMS[name]
-    seen, values = set(), 0
-    for k in range(-1, rs.rank + 2):
-        for s in ORACLE_S:
-            for pt in _oracle_points(rs.rank):
-                got = outcome(g_rational_eval, rs, k, s, pt)
-                assert got == outcome(literal_g_rational_eval, rs, k, s, pt)
-                if isinstance(got, tuple):
-                    seen.add(re.sub(r"-?\d+", "#", got[1]))
-                else:
-                    values += 1
-    assert seen == BRANCHES | {"k must be >= #"}
+    seen, values, unit_circle = _against_the_literal_form(
+        rs, g_rational_eval, literal_g_rational_eval, _block_value,
+        range(-1, rs.rank + 2),
+    )
+    assert seen == BRANCHES[rs.lie_type] | {"k must be >= #"}
     assert values >= 2 * (rs.rank + 2) * len(S_VALUES)
+    # in type D the L_a = 1/L_a points are reached, and evaluate
+    assert bool(unit_circle) is (rs.lie_type is LieType.D)
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_c0_rational_eval_matches_the_literal_form(name):
     rs = SYSTEMS[name]
-    seen, values = set(), 0
-    for ell in range(0, rs.rank + 1):
-        for s in ORACLE_S:
-            for pt in _oracle_points(rs.rank):
-                got = outcome(c0_rational_eval, rs, ell, s, pt)
-                assert got == outcome(literal_c0_rational_eval, rs, ell, s, pt)
-                if isinstance(got, tuple):
-                    seen.add(re.sub(r"-?\d+", "#", got[1]))
-                else:
-                    values += 1
-    assert seen == BRANCHES | {"ell must be >= #", "q - #/q = #"}
+    seen, values, unit_circle = _against_the_literal_form(
+        rs, c0_rational_eval, literal_c0_rational_eval, hc_value,
+        range(0, rs.rank + 1),
+    )
+    assert seen == BRANCHES[rs.lie_type] | {"ell must be >= #", "q - #/q = #"}
     assert values >= 2 * rs.rank * len(S_VALUES)
+    assert bool(unit_circle) is (rs.lie_type is LieType.D)
 
 
 # -- degenerate and malformed points --------------------------------------------

@@ -92,8 +92,12 @@ def _commands() -> list[tuple[str, ...]]:
          "--format", "json")
     )
     # Poles of the regrouped eigenvalue sum that the eigenvalue does not
-    # have: lam_n = 0 in B and |lam_n| = 1/2 in D.
-    for t, n, lam, ell in (("B", "2", "1,0", "1"), ("D", "4", "1/2,1/2,1/2,1/2", "2")):
+    # have: lam_n = 0 in B and D, and |lam_n| = 1/2 in D.
+    for t, n, lam, ell in (
+        ("B", "2", "1,0", "1"),
+        ("D", "4", "1/2,1/2,1/2,1/2", "2"),
+        ("D", "4", "2,1,1,0", "2"),
+    ):
         for fmt in ("json", "text"):
             cmds.append(
                 ("eig", "--type", t, "--rank", n, "--lambda", lam, "--ell", ell,
@@ -212,6 +216,8 @@ GOLDEN: dict[tuple[str, ...], tuple[int, str]] = {
     ('eig', '--type', 'B', '--rank', '2', '--lambda', '1,0', '--ell', '1', '--format', 'text'): (0, '7115fbc3c1a56ebbbca65b5f80f8ec4629f97831e131b329becff1b55484bc00'),
     ('eig', '--type', 'D', '--rank', '4', '--lambda', '1/2,1/2,1/2,1/2', '--ell', '2', '--format', 'json'): (0, 'be41f30c645864a7bc3dd07082243b2f4ff2e633f5d1b0b7b18d9846f2acf39a'),
     ('eig', '--type', 'D', '--rank', '4', '--lambda', '1/2,1/2,1/2,1/2', '--ell', '2', '--format', 'text'): (0, '29d055dde49c807a0dac3a7e56654f1be450415e117b9170e102413f93b8da6f'),
+    ('eig', '--type', 'D', '--rank', '4', '--lambda', '2,1,1,0', '--ell', '2', '--format', 'json'): (0, 'aea13ab9b5d65279c618efb695dd8cda03298e02ff7aa695566e9255988a47d9'),
+    ('eig', '--type', 'D', '--rank', '4', '--lambda', '2,1,1,0', '--ell', '2', '--format', 'text'): (0, '5bbe7700d1125e9bd58dbfc3d810a2219d337b9bed362cdeffa15693ea7c9b30'),
 }
 
 
