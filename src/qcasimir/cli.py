@@ -24,7 +24,7 @@ from .casimir import (
     hc_image,
 )
 from .chars import GAElem, weyl_character
-from .ebasis import generation_certificate, triangular_solve
+from .ebasis import expected_leading_coeff, generation_certificate, triangular_solve
 from .exact import ExactArithmeticError, QLaurent
 from .roots import (
     LieType,
@@ -229,8 +229,12 @@ def cmd_hook(args) -> int:
 
 def cmd_solve_basis(args) -> int:
     rs = _system(args)
-    sol = triangular_solve(rs)
     cert = generation_certificate(rs)
+    # E_k = c_k G_k + (lower terms) with c_k = 1/b_k = c_unit / c_denom
+    rows = [
+        (k, (-1) ** (k + 1), expected_leading_coeff(rs, k) * (-1) ** (k + 1), num, den)
+        for k, (num, den) in enumerate(triangular_solve(rs), 1)
+    ]
 
     def payload():
         return {
@@ -238,22 +242,22 @@ def cmd_solve_basis(args) -> int:
             "rank": rs.rank,
             "solution": [
                 {
-                    "k": e.k,
-                    "c_unit": e.c_unit,
-                    "c_denominator": e.c_denom.to_json(),
-                    "numerator": e.num.to_json(),
-                    "denominator": e.den.to_json(),
+                    "k": k,
+                    "c_unit": c_unit,
+                    "c_denominator": c_denom.to_json(),
+                    "numerator": num.to_json(),
+                    "denominator": den.to_json(),
                 }
-                for e in sol
+                for k, c_unit, c_denom, num, den in rows
             ],
             "certificate": cert,
         }
 
     def text():
         lines = [
-            f"E{e.k} = ({e.c_unit:+d}/({e.c_denom})) G{e.k} + "
-            f"(lower terms; {len(e.num._per_weight())} numerator terms over denominator {e.den})"
-            for e in sol
+            f"E{k} = ({c_unit:+d}/({c_denom})) G{k} + "
+            f"(lower terms; {len(num._per_weight())} numerator terms over denominator {den})"
+            for k, c_unit, c_denom, num, den in rows
         ]
         return "\n".join(
             lines

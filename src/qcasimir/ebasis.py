@@ -22,7 +22,6 @@ E_k = num(G_1..G_k)/den, and all verifications multiply back by den.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -198,18 +197,6 @@ def g_in_e_basis(rs: RootSystem, k: int) -> EPoly:
     return total
 
 
-@dataclass(frozen=True)
-class TriangularEntry:
-    """E_k = num(G_1..G_k) / den, with the leading coefficient recorded as
-    the exact pair c_k = c_unit / c_denom."""
-
-    k: int
-    c_unit: int
-    c_denom: QLaurent
-    num: EPoly
-    den: QLaurent
-
-
 def expected_leading_coeff(rs: RootSystem, k: int) -> QLaurent:
     """(-1)^{k+1} * (q^{c_n-1} + q^{c_n-3} + ... + q^{c_n+1-2k})."""
     sign = (-1) ** (k + 1)
@@ -219,98 +206,64 @@ def expected_leading_coeff(rs: RootSystem, k: int) -> QLaurent:
 
 
 @cache
-def triangular_solve(rs: RootSystem) -> tuple[TriangularEntry, ...]:
+def triangular_solve(rs: RootSystem) -> tuple[tuple[EPoly, QLaurent], ...]:
     """Invert the unit-triangular system expressing blocks in the E-basis.
 
-    By induction on k: isolate E_k in g_in_e_basis(k), substitute the
-    previously solved expressions for E_1..E_{k-1}, and clear denominators,
-    so that E_k = num_k(G_1..G_k)/den_k with num_k over the Laurent ring.
-    Entry k - 1 of the result is the solution for E_k.
+    Block k must read b_k E_k + (terms in E_1..E_{k-1}) with b_k the printed
+    :func:`expected_leading_coeff`; any other leading term (wrong, zero, or
+    not triangular) raises :class:`SingularLeadingCoefficient`.  By
+    induction on k, substitute the solved expressions for E_1..E_{k-1} into
+    the lower terms and clear denominators, so that
+    E_k = num_k(G_1..G_k)/den_k with num_k over the Laurent ring.  Entry
+    k - 1 of the result is the pair (num_k, den_k).
     """
     n = rs.rank
-    solved_num: list[EPoly] = []
-    solved_den: list[QLaurent] = []
-    entries = []
-    e_key = lambda k: tuple(1 if i == k - 1 else 0 for i in range(n))
+    sol: list[tuple[EPoly, QLaurent]] = []
     for k in range(1, n + 1):
-        ghat = g_in_e_basis(rs, k)
-        b_k = ghat.coeff(e_key(k))
-        if not b_k:
+        b_k = expected_leading_coeff(rs, k)
+        rest = g_in_e_basis(rs, k) - EPoly.symbol(n, k, b_k)
+        if any(rest.uses_symbol(j) for j in range(k, n + 1)):
             raise SingularLeadingCoefficient(
-                f"E_{k} coefficient vanishes in block {k}"
-            )
-        if b_k != expected_leading_coeff(rs, k):
-            raise SingularLeadingCoefficient(
-                f"leading coefficient of block {k} deviates from the "
-                f"alternating q-power sum"
-            )
-        rest = ghat - EPoly.symbol(n, k, b_k)
-        if rest.uses_symbol(k) or any(rest.uses_symbol(j) for j in range(k + 1, n + 1)):
-            raise SingularLeadingCoefficient(
-                f"block {k} is not triangular in the symbols"
+                f"block {k} is not b_{k} E_{k} plus terms in E_1..E_{k - 1}"
             )
         degs = [rest.max_degree(j) for j in range(1, k)]
         common = QL_ONE
-        for j in range(1, k):
-            common = common * solved_den[j - 1] ** degs[j - 1]
-        # rest with E_j := solved_num_j / solved_den_j, cleared by `common`
+        for (_, den_j), d in zip(sol, degs):
+            common = common * den_j ** d
+        # rest with E_j := num_j / den_j, cleared by `common`
         cleared = EPoly.zero(n)
         for mono, coeff in rest._per_weight().items():
             term = EPoly.one(n)
             scalar = coeff
-            for j in range(1, k):
-                e = mono[j - 1]
+            for (num_j, den_j), e, d in zip(sol, mono, degs):
                 if e:
-                    term = term * solved_num[j - 1] ** e
-                scalar = scalar * solved_den[j - 1] ** (degs[j - 1] - e)
+                    term = term * num_j ** e
+                scalar = scalar * den_j ** (d - e)
             cleared = cleared + term.scale(scalar)
-        num = EPoly.symbol(n, k, common) - cleared
-        den = b_k * common
-        solved_num.append(num)
-        solved_den.append(den)
-        entries.append(
-            TriangularEntry(
-                k=k,
-                c_unit=(-1) ** (k + 1),
-                c_denom=b_k * ((-1) ** (k + 1)),
-                num=num,
-                den=den,
-            )
-        )
-    return tuple(entries)
+        sol.append((EPoly.symbol(n, k, common) - cleared, b_k * common))
+    return tuple(sol)
 
 
-def round_trip_ok(rs: RootSystem, sol: tuple[TriangularEntry, ...], k: int) -> bool:
+def round_trip_ok(
+    rs: RootSystem, sol: tuple[tuple[EPoly, QLaurent], ...], k: int
+) -> bool:
     """Substituting the E-basis expressions of the blocks into the k-th
     solution must reproduce den * E_k exactly."""
     n = rs.rank
     ghats = [g_in_e_basis(rs, j) for j in range(1, n + 1)]
-    entry = sol[k - 1]
-    value = entry.num.substitute(ghats, EPoly.one(n))
-    return value == EPoly.symbol(n, k, entry.den)
+    num, den = sol[k - 1]
+    return num.substitute(ghats, EPoly.one(n)) == EPoly.symbol(n, k, den)
 
 
 def solution_ok_in_characters(
-    rs: RootSystem, sol: tuple[TriangularEntry, ...], k: int
+    rs: RootSystem, sol: tuple[tuple[EPoly, QLaurent], ...], k: int
 ) -> bool:
     """The same identity with every symbol bound to its actual character:
     num(g_1..g_n) = den * e_k in the group algebra."""
     n = rs.rank
     gs = [ch_g_via_antisym(rs, j).body for j in range(1, n + 1)]
-    entry = sol[k - 1]
-    value = entry.num.substitute(gs, GAElem.one(n))
-    return value == ext_power_char(rs, k).scale(entry.den)
-
-
-def fundamental_character_relation(rs: RootSystem, r: int) -> tuple[GAElem, GAElem]:
-    """(character of the r-th fundamental weight, its exterior-power
-    expression) for r in the range covered by the blocks."""
-    chi = weyl_character(rs, rs.fundamental_weight(r))
-    if rs.lie_type is LieType.C:
-        expr = ext_power_char(rs, r) - ext_power_char(rs, r - 2)
-    else:
-        expr = ext_power_char(rs, r)
-    return chi, expr
+    num, den = sol[k - 1]
+    return num.substitute(gs, GAElem.one(n)) == ext_power_char(rs, k).scale(den)
 
 
 def generation_certificate(rs: RootSystem) -> dict:
@@ -319,7 +272,8 @@ def generation_certificate(rs: RootSystem) -> dict:
 
     Covers: the triangular solve through n minus the number of spin indices
     (n-1 for B, n for C, n-2 for D), the identification of each covered
-    fundamental character with its exterior-power expression, and the spin
+    fundamental character omega_r with the one-column determinant of
+    :func:`jt_character` (e_r, or e_r - e_{r-2} in type C), and the spin
     fundamental weights, attached as extra generators without such an
     expression.  Raises :class:`CertificateFailed` on the first failing
     identity.
@@ -332,8 +286,8 @@ def generation_certificate(rs: RootSystem) -> dict:
         checks.append((f"solve-E{k}", round_trip_ok(rs, sol, k)))
         checks.append((f"characters-E{k}", solution_ok_in_characters(rs, sol, k)))
     for r in range(1, solved_range + 1):
-        chi, expr = fundamental_character_relation(rs, r)
-        checks.append((f"fundamental-{r}", chi == expr))
+        chi = weyl_character(rs, rs.fundamental_weight(r))
+        checks.append((f"fundamental-{r}", chi == jt_character(rs, (1,) * r)))
     extra_gens = []
     for r in rs.spin_indices:
         w = rs.fundamental_weight(r)

@@ -7,9 +7,9 @@ from qcasimir.chars import GAElem, ext_power_char, weyl_character
 from qcasimir.ebasis import (
     CertificateFailed,
     PartitionTooLong,
+    SingularLeadingCoefficient,
     conjugate_partition,
     expected_leading_coeff,
-    fundamental_character_relation,
     g_in_e_basis,
     generation_certificate,
     hook_matrix_printed,
@@ -193,17 +193,95 @@ class TestTriangularSolve:
     def test_c1_printed_value(self):
         # c_1 = +1 / q^{c_n - 1}; in type B that is q^{1-2n}
         for rs in SMALL:
-            entry = triangular_solve(rs)[0]
-            assert entry.c_unit == 1
-            assert entry.c_denom == Q(rs.c_n - 1)
+            num, den = triangular_solve(rs)[0]
             # first solution has no lower-order terms at all
-            assert entry.num == EPoly.symbol(rs.rank, 1)
-            assert entry.den == Q(rs.c_n - 1)
+            assert num == EPoly.symbol(rs.rank, 1)
+            assert den == Q(rs.c_n - 1)
+        assert triangular_solve(B3)[0][1] == Q(5)
 
     def test_all_leading_pairs_nonzero(self):
+        # c_k = (G_k coefficient of num_k) / den_k is 1 / b_k, nonzero
         for rs in SMALL:
-            for e in triangular_solve(rs):
-                assert e.c_denom and e.den
+            n = rs.rank
+            for k, (num, den) in enumerate(triangular_solve(rs), 1):
+                lead = num.coeff(tuple(int(i == k) for i in range(1, n + 1)))
+                assert lead and den
+                assert lead * expected_leading_coeff(rs, k) == den
+
+
+def _drop_monomial(num: EPoly, mono: tuple) -> EPoly:
+    terms = num._per_weight()
+    del terms[mono]
+    return EPoly(num.rank, terms)
+
+
+def _mutations(num: EPoly, den: QLaurent):
+    yield "den*q", (num, den * Q(1))
+    for mono in num._per_weight():
+        yield f"without {mono}", (_drop_monomial(num, mono), den)
+
+
+@pytest.mark.parametrize(
+    "rs", (B3, C3, D4), ids=lambda r: f"{r.lie_type.value}{r.rank}"
+)
+def test_mutated_pairs_rejected(rs):
+    """A solution with its denominator scaled by q, or with one numerator
+    monomial dropped, fails both the round trip and the character check."""
+    sol = triangular_solve(rs)
+    for k in (1, 2):
+        for what, pair in _mutations(*sol[k - 1]):
+            bad = sol[: k - 1] + (pair,) + sol[k:]
+            assert not round_trip_ok(rs, bad, k), (k, what)
+            assert not solution_ok_in_characters(rs, bad, k), (k, what)
+
+
+def _wrong_leading(rs, k, g):
+    return g + EPoly.symbol(rs.rank, k, Q(1))
+
+
+def _zero_leading(rs, k, g):
+    return g - EPoly.symbol(rs.rank, k, expected_leading_coeff(rs, k))
+
+
+def _next_symbol(rs, k, g):
+    return g + EPoly.symbol(rs.rank, k + 1)
+
+
+def _times_e1(rs, k, g):
+    return g + EPoly.symbol(rs.rank, k) * EPoly.symbol(rs.rank, 1)
+
+
+class TestTriangularityCheck:
+    """Block k must be b_k E_k plus terms in E_1..E_{k-1}: a wrong or zero
+    b_k, a term in E_{k+1} and a term E_k E_1 each raise."""
+
+    K = 2
+
+    @pytest.fixture(autouse=True)
+    def fresh_solve_cache(self):
+        triangular_solve.cache_clear()
+        yield
+        triangular_solve.cache_clear()
+
+    @pytest.fixture(params=(_wrong_leading, _zero_leading, _next_symbol, _times_e1))
+    def broken(self, request, monkeypatch):
+        def g_broken(rs, k):
+            g = g_in_e_basis(rs, k)
+            return request.param(rs, k, g) if k == self.K else g
+
+        monkeypatch.setattr("qcasimir.ebasis.g_in_e_basis", g_broken)
+
+    @pytest.mark.parametrize(
+        "rs", (B3, C3, D4), ids=lambda r: f"{r.lie_type.value}{r.rank}"
+    )
+    def test_raises(self, rs, broken):
+        with pytest.raises(SingularLeadingCoefficient, match=f"block {self.K} "):
+            triangular_solve.__wrapped__(rs)
+
+    def test_certificate_case_fails(self, broken):
+        [case] = certificate_cases([C3])
+        assert case["status"] == "fail"
+        assert case["detail"].startswith(f"block {self.K} ")
 
 
 class TestCertificates:
@@ -229,12 +307,17 @@ class TestCertificates:
             assert all(c["status"] == "pass" for c in rep["checks"])
 
     def test_fundamental_relations(self):
-        for r in (1, 2):
-            chi, expr = fundamental_character_relation(B3, r)
-            assert chi == expr
-        for r in (1, 2, 3):
-            chi, expr = fundamental_character_relation(C3, r)
-            assert chi == expr
+        # the certificate's one-column determinant is e_r in types B and D
+        # and e_r - e_{r-2} in type C
+        expected = [(B3, r, ext_power_char(B3, r)) for r in (1, 2)]
+        expected += [(D4, r, ext_power_char(D4, r)) for r in (1, 2)]
+        expected += [
+            (C3, r, ext_power_char(C3, r) - ext_power_char(C3, r - 2))
+            for r in (1, 2, 3)
+        ]
+        for rs, r, expr in expected:
+            assert weyl_character(rs, rs.fundamental_weight(r)) == expr, (rs, r)
+            assert jt_character(rs, (1,) * r) == expr, (rs, r)
 
     def test_certificate_failure_is_a_failing_case(self, monkeypatch):
         def failing(rs):
