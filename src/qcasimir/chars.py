@@ -398,14 +398,26 @@ def straighten(x: GAElem, rs: RootSystem) -> GAElem:
 @cache
 def _orbit_getters(rs: RootSystem) -> tuple:
     """[(gather, sgn(w))] over the group: gather(key + -key) is w(key), read
-    off one tuple by C-level indexing."""
+    off one tuple by C-level indexing.
+
+    Built straight from permutations x sign patterns, in the order of
+    :func:`enumerate_weyl`: w(eps_i) = +-eps_perm(i) puts key[i] (offset n
+    for a flipped sign) at position perm(i), and sgn(w) is the parity of
+    perm, taken once per permutation, times (-1)^(sign flips).
+    """
     n = rs.rank
+    patterns = [
+        (offsets, -1 if offsets.count(n) % 2 else 1)
+        for offsets in product((0, n), repeat=n)
+        if rs.lie_type is not LieType.D or offsets.count(n) % 2 == 0
+    ]
     out = []
-    for w in enumerate_weyl(rs):
-        src = [0] * n
-        for i, (p, s) in enumerate(zip(w.perm, w.signs)):
-            src[p - 1] = i if s > 0 else i + n
-        out.append((itemgetter(*src), w.sgn()))
+    for perm in permutations(range(1, n + 1)):
+        parity = _perm_parity(perm)
+        inverse = sorted(range(n), key=perm.__getitem__)
+        for offsets, flips in patterns:
+            src = [i + offsets[i] for i in inverse]
+            out.append((itemgetter(*src), parity * flips))
     return tuple(out)
 
 

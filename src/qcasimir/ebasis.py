@@ -27,7 +27,7 @@ from functools import cache
 
 from .casimir import ch_g_via_antisym, hook_terms
 from .chars import GAElem, ext_power_char, weyl_character
-from .exact import EPoly, ExactArithmeticError, QL_ONE, QLaurent, det_exact
+from .exact import EPoly, ExactArithmeticError, QL_ONE, QLaurent, det_exact, power_table
 from .roots import (
     IndexOutOfRange,
     LieType,
@@ -227,19 +227,22 @@ def triangular_solve(rs: RootSystem) -> tuple[tuple[EPoly, QLaurent], ...]:
                 f"block {k} is not b_{k} E_{k} plus terms in E_1..E_{k - 1}"
             )
         degs = [rest.max_degree(j) for j in range(1, k)]
+        dens = [power_table(den_j, d) for (_, den_j), d in zip(sol, degs)]
         common = QL_ONE
-        for (_, den_j), d in zip(sol, degs):
-            common = common * den_j ** d
-        # rest with E_j := num_j / den_j, cleared by `common`
-        cleared = EPoly.zero(n)
+        for table in dens:
+            if table:
+                common = common * table[-1]
+        # rest with E_j := num_j / den_j, cleared by `common`: each monomial
+        # takes the den_j**(d_j - e_j) it lacks, then E_j := num_j
+        homogenized = {}
         for mono, coeff in rest._per_weight().items():
-            term = EPoly.one(n)
-            scalar = coeff
-            for (num_j, den_j), e, d in zip(sol, mono, degs):
-                if e:
-                    term = term * num_j ** e
-                scalar = scalar * den_j ** (d - e)
-            cleared = cleared + term.scale(scalar)
+            for den_pows, e, d in zip(dens, mono, degs):
+                if d - e:
+                    coeff = coeff * den_pows[d - e - 1]
+            homogenized[mono] = coeff
+        values = [num_j for num_j, _ in sol]
+        values += [EPoly.symbol(n, j) for j in range(k, n + 1)]
+        cleared = EPoly(n, homogenized).substitute(values, EPoly.one(n))
         sol.append((EPoly.symbol(n, k, common) - cleared, b_k * common))
     return tuple(sol)
 

@@ -126,6 +126,15 @@ def _unpack(packed: int, n: int, bits: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def power_table(x, top: int) -> list:
+    """[x, x**2, ..., x**top]: each entry is one product from the one before,
+    so x**e is entry e - 1 and a table of length top costs top - 1 products."""
+    table = [x] if top else []
+    for _ in range(top - 1):
+        table.append(table[-1] * x)
+    return table
+
+
 class EPoly:
     """Sparse Laurent polynomial in E_1..E_n and q over the rationals.
 
@@ -250,16 +259,21 @@ class EPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "EPoly":
+        """self**n by binary powering (Knuth, TAOCP Vol. 2, 4.6.3): the base
+        is squared only while bits of n remain, and the result starts from
+        the first power it needs, so no product forms a power above n."""
         if n < 0:
             raise ValueError("negative power: divide exactly instead")
-        result = self._like({(0,) * (self.rank + 1): 1})
-        base = self
-        while n:
+        if not n:
+            return self._like({(0,) * (self.rank + 1): 1})
+        base, result = self, None
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def scale(self, c: Coeff | QLaurent) -> "EPoly":
         """self times a rational or a QLaurent (which moves the q lane)."""
@@ -309,18 +323,26 @@ class EPoly:
         """Evaluate with E_i := values[i-1] in any ring with +, *, .scale().
 
         ``one`` must be the multiplicative identity of the target ring.  Each
-        monomial's product of values is formed once, then scaled by its
-        QLaurent coefficient.
+        symbol gets one :func:`power_table` [v, v**2, ..., v**d] up to its
+        largest exponent d; a monomial multiplies the entries of the symbols
+        it uses (one product fewer than their number) and is scaled once by
+        its QLaurent coefficient.  A negative exponent raises ValueError, as
+        ``v**e`` does.
         """
         if len(values) != self.rank:
             raise ValueError("need one value per symbol")
+        if any(e < 0 for k in self.terms for e in k[:-1]):
+            raise ValueError("negative power: divide exactly instead")
+        tables = [
+            power_table(v, self.max_degree(i)) for i, v in enumerate(values, 1)
+        ]
         total = None
         for m, c in self._per_weight().items():
-            prod = one
-            for v, e in zip(values, m):
+            prod = None
+            for table, e in zip(tables, m):
                 if e:
-                    prod = prod * v**e
-            prod = prod.scale(c)
+                    prod = table[e - 1] if prod is None else prod * table[e - 1]
+            prod = (one if prod is None else prod).scale(c)
             total = prod if total is None else total + prod
         if total is None:
             return one.scale(0)

@@ -11,6 +11,7 @@ from qcasimir.chars import (
     RankTooLargeForEnumeration,
     SignedPerm,
     _div_root_factor,
+    _orbit_getters,
     alternant,
     antisymmetrize,
     character_sum,
@@ -809,3 +810,17 @@ def test_json_ordering_is_deterministic():
     x = GAElem(2, {(1, 0): ONE, (0, 1): ONE, (-1, 0): ONE})
     weights = [tuple(t["weight"]) for t in x.to_json()]
     assert weights == sorted(weights)
+
+
+@pytest.mark.parametrize(
+    "rs", in_scope_systems(), ids=lambda r: f"{r.lie_type.value}{r.rank}"
+)
+def test_orbit_table_matches_enumerated_group(rs):
+    """The (image, sign) sequence of the orbit table on a key with distinct
+    nonzero magnitudes is the one read off enumerate_weyl, in order."""
+    key = tuple(range(1, 2 * rs.rank, 2))
+    ext = key + tuple(-d for d in key)
+    table = [(gather(ext), sign) for gather, sign in _orbit_getters(rs)]
+    expected = [(w.apply(Weight(key)).dbl, w.sgn()) for w in enumerate_weyl(rs)]
+    assert table == expected
+    assert len(set(table)) == len(table)

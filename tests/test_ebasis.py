@@ -18,9 +18,9 @@ from qcasimir.ebasis import (
     solution_ok_in_characters,
     triangular_solve,
 )
-from qcasimir.exact import EPoly, QLaurent, det_exact
+from qcasimir.exact import QL_ONE, EPoly, QLaurent, det_exact
 from qcasimir.roots import LieType, Weight, build_root_system, partition_to_weight
-from qcasimir.verify import certificate_cases
+from qcasimir.verify import certificate_cases, in_scope_systems
 
 B2 = build_root_system(LieType.B, 2)
 B3 = build_root_system(LieType.B, 3)
@@ -207,6 +207,49 @@ class TestTriangularSolve:
                 lead = num.coeff(tuple(int(i == k) for i in range(1, n + 1)))
                 assert lead and den
                 assert lead * expected_leading_coeff(rs, k) == den
+
+
+def literal_triangular_solve(rs):
+    """The literal solve, the reference for the power tables: every power
+    is formed by ``**`` per monomial."""
+    n = rs.rank
+    sol = []
+    for k in range(1, n + 1):
+        b_k = expected_leading_coeff(rs, k)
+        rest = g_in_e_basis(rs, k) - EPoly.symbol(n, k, b_k)
+        degs = [rest.max_degree(j) for j in range(1, k)]
+        common = QL_ONE
+        for (_, den_j), d in zip(sol, degs):
+            common = common * den_j**d
+        cleared = EPoly.zero(n)
+        for mono, coeff in rest._per_weight().items():
+            term = EPoly.one(n)
+            scalar = coeff
+            for (num_j, den_j), e, d in zip(sol, mono, degs):
+                if e:
+                    term = term * num_j**e
+                scalar = scalar * den_j ** (d - e)
+            cleared = cleared + term.scale(scalar)
+        sol.append((EPoly.symbol(n, k, common) - cleared, b_k * common))
+    return tuple(sol)
+
+
+@pytest.mark.parametrize(
+    "rs", in_scope_systems(), ids=lambda r: f"{r.lie_type.value}{r.rank}"
+)
+def test_solve_matches_literal_solve(rs):
+    assert triangular_solve(rs) == literal_triangular_solve(rs)
+
+
+@pytest.mark.parametrize(
+    "lie, n", [(LieType.B, 5), (LieType.C, 5)], ids=["B5", "C5"]
+)
+def test_certificate_past_rank_four(lie, n):
+    """Systems outside the verify scope: every identity of the certificate
+    holds (it raises on the first that fails) and the extra generators are
+    the expected ones."""
+    [case] = certificate_cases([build_root_system(lie, n)])
+    assert case["status"] == "pass", case["detail"]
 
 
 def _drop_monomial(num: EPoly, mono: tuple) -> EPoly:

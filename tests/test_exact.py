@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from qcasimir.chars import GAElem
 from qcasimir.exact import (
     DivisionByZero,
     EPoly,
@@ -14,6 +15,7 @@ from qcasimir.exact import (
     det_bareiss,
     det_cofactor,
     det_exact,
+    power_table,
 )
 
 Q = QLaurent.q_power
@@ -168,6 +170,110 @@ class TestEPoly:
         assert (a * b) * c == a * (b * c)
 
 
+def _one_plus_lane0(cls):
+    """(1 + x, unit) with x one step up lane 0 of the flat keys (E_1, or
+    e^(eps_1/2), or q in QLaurent): the lane-0 degree of (1 + x)**n is
+    n * unit."""
+    if cls is QLaurent:
+        return QLaurent({0: 1, 4: 1}), 4
+    return cls(2, {(1, 0): ONE, (0, 0): ql({1: 2})}), 1
+
+
+RINGS = (QLaurent, EPoly, GAElem)
+
+
+class TestPowers:
+    @pytest.mark.parametrize("cls", RINGS, ids=lambda c: c.__name__)
+    def test_power_is_repeated_product(self, cls):
+        x, _ = _one_plus_lane0(cls)
+        prod = x._like({(0,) * (x.rank + 1): 1})
+        for n in range(10):
+            assert x**n == prod, n
+            assert type(x**n) is cls
+            prod = prod * x
+
+    @pytest.mark.parametrize("cls", RINGS, ids=lambda c: c.__name__)
+    def test_no_product_above_the_exponent(self, cls, monkeypatch):
+        """Binary powering squares only while bits of n remain: no product
+        formed inside x**n has lane-0 degree above n's."""
+        x, unit = _one_plus_lane0(cls)
+        degrees = []
+        mul = cls.__mul__
+
+        def counted(a, b):
+            out = mul(a, b)
+            degrees.append(max(k[0] for k in out.terms))
+            return out
+
+        monkeypatch.setattr(cls, "__mul__", counted)
+        for n in range(10):
+            degrees.clear()
+            x**n
+            assert max(degrees, default=0) <= n * unit, (n, degrees)
+            # popcount(n) - 1 products build the result, bit_length(n) - 1
+            # squarings the base
+            assert len(degrees) == max(n.bit_count() + n.bit_length() - 2, 0), n
+
+    def test_power_table(self):
+        x, _ = _one_plus_lane0(EPoly)
+        assert power_table(x, 0) == []
+        assert power_table(x, 5) == [x**e for e in range(1, 6)]
+
+    def test_substitute_rejects_negative_exponents(self):
+        p = EPoly(2, {(-1, 1): ONE, (2, 0): ONE})
+        with pytest.raises(ValueError, match="negative power"):
+            p.substitute([EPoly.symbol(2, 1), EPoly.symbol(2, 2)], EPoly.one(2))
+
+
+def literal_substitute(p, values, one):
+    """The literal substitution, the reference for the power tables: every
+    monomial forms prod * v**e for each of its symbols."""
+    total = one.scale(0)
+    for m, c in p._per_weight().items():
+        prod = one
+        for v, e in zip(values, m):
+            if e:
+                prod = prod * v**e
+        total = total + prod.scale(c)
+    return total
+
+
+def _polys(cls, lane):
+    keys = st.tuples(lane, lane)
+    return st.dictionaries(keys, qlaurents, max_size=4).map(lambda d: cls(2, d))
+
+
+_sources = _polys(EPoly, st.integers(min_value=0, max_value=3))
+
+
+class TestSubstituteTables:
+    @given(
+        _sources,
+        _polys(EPoly, st.integers(min_value=-2, max_value=2)),
+        _polys(EPoly, st.integers(min_value=-2, max_value=2)),
+    )
+    @example(EPoly.zero(2), EPoly.symbol(2, 1), EPoly.symbol(2, 2))
+    @example(EPoly.constant(2, ql({1: 3})), EPoly.symbol(2, 2), EPoly.zero(2))
+    @settings(max_examples=40, deadline=None)
+    def test_into_epoly(self, p, v1, v2):
+        one = EPoly.one(2)
+        assert p.substitute([v1, v2], one) == literal_substitute(p, [v1, v2], one)
+
+    @given(
+        _sources,
+        _polys(GAElem, st.integers(min_value=-3, max_value=3)),
+        _polys(GAElem, st.integers(min_value=-3, max_value=3)),
+    )
+    @example(EPoly.zero(2), GAElem.symbol(2, 1), GAElem.symbol(2, 2))
+    @example(EPoly.constant(2, ql({-1: 2})), GAElem.symbol(2, 2), GAElem.zero(2))
+    @settings(max_examples=40, deadline=None)
+    def test_into_gaelem(self, p, v1, v2):
+        one = GAElem.one(2)
+        got = p.substitute([v1, v2], one)
+        assert type(got) is GAElem
+        assert got == literal_substitute(p, [v1, v2], one)
+
+
 class TestDeterminants:
     def test_one_by_one(self):
         x = ql({1: 3})
@@ -217,8 +323,6 @@ class TestOneRing:
         assert all(type(x) is EPoly for x in self._results(EPoly))
 
     def test_gaelem_ops_return_gaelem(self):
-        from qcasimir.chars import GAElem
-
         assert all(type(x) is GAElem for x in self._results(GAElem))
         # the chain-sum kernel keeps the class too
         a, _ = self._pair(GAElem)
@@ -226,16 +330,12 @@ class TestOneRing:
         assert type((a * binomial).div_exact(binomial)) is GAElem
 
     def test_epoly_never_equals_gaelem(self):
-        from qcasimir.chars import GAElem
-
         for terms in ({}, {(0, 0): ONE}, {(1, -1): ql({1: 1}), (0, 2): ONE}):
             e, g = EPoly(2, terms), GAElem(2, terms)
             assert e.terms == g.terms
             assert e != g and g != e
 
     def test_mixed_classes_do_not_combine(self):
-        from qcasimir.chars import GAElem
-
         e, g = EPoly.one(2), GAElem.one(2)
         with pytest.raises(TypeError):
             e + g
