@@ -2,10 +2,10 @@
 
 The order-l central elements act on a highest weight module by an explicit
 scalar; projecting onto the torus and shifting by rho identifies them with
-symmetric Laurent polynomials in variables L_a (a in {-n..-1,1..n}, plus a
-constant slot in type B).  A binomial change of order parameter turns the
-family into building blocks G_{n,k}; writing L_a as the formal exponential
-e^{eps_a} realises each block inside the character ring.
+symmetric Laurent polynomials in L_a = e^{eps_a} over the weights eps_a of
+the natural module (a in I': {-n..-1,1..n}, plus eps_0 = 0 in type B).  A
+binomial change of order parameter turns the family into building blocks
+G_{n,k}, each realised inside the character ring.
 
 Two independent constructions of the block characters are provided, both
 as chamber forms {nu: c_nu} with G_{n,k} = sum over nu of c_nu chi_{nu-rho}:
@@ -17,10 +17,14 @@ as chamber forms {nu: c_nu} with G_{n,k} = sum over nu of c_nu chi_{nu-rho}:
   of hook shape listed by the table :func:`hook_terms`.
 
 ``ch_g_via_antisym`` and ``ch_g_via_hooks`` expand them by the one shared
-step, :func:`~qcasimir.chars.character_sum`.  Their exact agreement (for every k) is the central identity of the package
-and is what the verification suites establish.  A third, purely numeric
-route evaluates the raw rational forms at exact rational points and serves
-as an oracle for both.  The eigenvalue of the order-ell invariant on a
+step, :func:`~qcasimir.chars.character_sum`.  Their exact agreement (for
+every k) is the central identity of the package and is what the
+verification suites establish.  A third, purely numeric route evaluates the
+raw rational forms at exact rational points and serves as an oracle for
+both, stated once for every type: each eps_a carries the product P_{eps_a}
+over the roots beta = eps_a - eps_b with m = (eps_a, beta) > 0 of (q^m
+e^beta - q^{-m}) / (e^beta - 1) (Zhang, Gould and Bracken, Comm. Math.
+Phys. 137, 1991).  The eigenvalue of the order-ell invariant on a
 simple module, :func:`eigenvalue_direct`, is the rational torus image at
 L_a = q^{2(lam + rho, eps_a)}; :func:`eigenvalue_via_hc` reaches it through
 the symbolic torus image instead.  Every invariant is central, so no
@@ -35,7 +39,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .chars import GAElem, GridMismatch, character_sum, ext_power_char, straighten
 from .exact import Coeff, QLaurent, _clean
@@ -104,15 +108,15 @@ def chamber_form(rs: RootSystem, k: int) -> GAElem:
     """The antisymmetrizer form of the k-th block in the dominant chamber:
     the GAElem {nu: c_nu} over strictly dominant nu with
 
-        A(e^rho G_{n,k}) = q^{c_n - 1} A(H_{n,k}) (+ q^{-k} A(e^rho) in type B)
+        A(e^rho G_{n,k}) = q^{c_n - 1} A(H_{n,k}) (+ q^{-k} A(e^rho) when 0 in I')
                          = sum over nu of c_nu A(e^nu),
 
-    that is q^{c_n - 1} times the straightened H_{n,k}, plus q^{-k} at rho in
-    type B: the block in the basis of irreducible characters, with no group
-    enumeration and no division.
+    that is q^{c_n - 1} times the straightened H_{n,k}, plus q^{-k} at rho for
+    the zero weight of I' (type B): the block in the basis of irreducible
+    characters, with no group enumeration and no division.
     """
     x = h_element(rs, k).scale(QLaurent.monomial(4 * (rs.c_n - 1)))
-    if rs.lie_type is LieType.B:
+    if 0 in rs.iprime:
         x = x + GAElem.exponential(rs.rho, QLaurent.monomial(-4 * k))
     return straighten(x, rs)
 
@@ -120,7 +124,7 @@ def chamber_form(rs: RootSystem, k: int) -> GAElem:
 @cache
 def ch_g_via_antisym(rs: RootSystem, k: int) -> CasimirImage:
     """Block character via the antisymmetrizer route: q^{c_n - 1} A(H_{n,k})
-    / Delta (plus q^{-k} in type B), as the character sum of its
+    / Delta (plus q^{-k} when 0 in I'), as the character sum of its
     :func:`chamber_form`, without forming A(H_{n,k}) or dividing it."""
     body = character_sum(chamber_form(rs, k), rs)
     return CasimirImage(rs.lie_type, rs.rank, k, body, "prop4_3")
@@ -316,19 +320,36 @@ def hc_value(
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _root_factors(rs: RootSystem) -> dict[int, tuple[int, tuple]]:
+    """For each a in I', (eps_a, eps_a) and the factors of P_{eps_a}: the
+    (b, m), b in I', with beta = eps_a - eps_b a root and m = (eps_a, beta)
+    > 0.  a and b run 0, 1, -1, 2, -2, ...: the order fixes which pole a
+    point with several is refused for."""
+    roots = set(rs.positive_roots) | {-alpha for alpha in rs.positive_roots}
+    e = {a: eps(rs.rank, a) for a in sorted(rs.iprime, key=lambda a: (abs(a), -a))}
+    return {
+        a: (int(pairing(e_a, e_a)), tuple(
+            (b, int(m))
+            for b, e_b in e.items()
+            if (beta := e_a - e_b) in roots and (m := pairing(e_a, beta)) > 0
+        ))
+        for a, e_a in e.items()
+    }
+
+
 def _rational_point(
     rs: RootSystem, s: Coeff, half_point: Sequence[Coeff]
 ) -> tuple[int, int, dict[int, tuple[int, int]]]:
-    """q := s^4 as the ints (Q, R) with q = Q/R, and L_a for a in
-    {-n..-1,1..n} from the values u of e^{eps_a/2}, as the int pair
-    (p_a, r_a) with L_a = p_a / r_a: (num(u)^2, den(u)^2) for a > 0,
-    swapped for -a."""
+    """q := s^4 as the ints (Q, R) with q = Q/R, and L_a = e^{eps_a} from
+    the values u of e^{eps_a/2}, as the int pair (p_a, r_a) with L_a = p_a /
+    r_a: (num(u)^2, den(u)^2) for a > 0, swapped for -a, (1, 1) for a = 0."""
     q = Fraction(s) ** 4
     if q == 0:
         raise DegenerateEvaluation("q = 0")
     if len(half_point) != rs.rank:
         raise GridMismatch("point length differs from rank")
-    table: dict[int, tuple[int, int]] = {}
+    table: dict[int, tuple[int, int]] = {0: (1, 1)}
     for i, u in enumerate(half_point, start=1):
         u = Fraction(u)
         if u == 0:
@@ -339,57 +360,43 @@ def _rational_point(
     return q.numerator, q.denominator, table
 
 
-def _pref_and_p(
-    rs: RootSystem, lvals: dict[int, tuple[int, int]], Q: int, R: int, a: int
-) -> tuple[int, int]:
-    """prefactor(a) * P_{n,a} of the rational block form at q = Q/R, as
-    ints (num, den).  Each factor (q L_a - L_b/q) / (L_a - L_b) of P_{n,a}
-    is (Q^2 p_a r_b - R^2 p_b r_a) / (QR (p_a r_b - p_b r_a)); the
-    prefactor is (Q^2 p_a^2 - R^2 r_a^2 + (Q^2 - R^2) p_a r_a) / (QR (p_a^2
-    - r_a^2)) in type B, (Q^4 p_a^2 - R^4 r_a^2) / (Q^2 R^2 (p_a^2 -
-    r_a^2)) in type C and 1 in type D.  The denominators are the whole pole
-    set: L_a = L_b (b != +-a) everywhere, and L_a = 1/L_a only in types B
-    and C, whose prefactors divide by L_a - L_{-a}."""
-    pa, ra = lvals[a]
-    if pa == ra and rs.lie_type is not LieType.D:  # p, r > 0: L_a = 1/L_a
-        raise DegenerateEvaluation("L_a on the unit circle: L_a = 1/L_a")
-    QQ, RR = Q * Q, R * R
-    if rs.lie_type is LieType.B:
-        num = QQ * pa * pa - RR * ra * ra + (QQ - RR) * pa * ra
-        den = Q * R * (pa * pa - ra * ra)
-    elif rs.lie_type is LieType.C:
-        num = (QQ * pa) ** 2 - (RR * ra) ** 2
-        den = QQ * RR * (pa * pa - ra * ra)
-    else:
+def _p_weights(rs: RootSystem, Q: int, R: int, lvals: dict) -> Iterator[tuple]:
+    """For each a in I': (eps_a, eps_a), p_a, r_a and P_{eps_a} at q = Q/R as
+    ints (num, den), the product over the :func:`_root_factors` (b, m) of
+    (q^m e^beta - q^{-m}) / (e^beta - 1), e^beta = L_a / L_b, that is
+    (Q^{2m} p_a r_b - R^{2m} p_b r_a) / ((QR)^m (p_a r_b - p_b r_a)).  The
+    denominators are the whole pole set: L_a = L_b, and L_a = 1/L_a where b
+    is 0 (type B) or -a (type C).  The zero weight has no factor."""
+    QQ, RR, QR = Q * Q, R * R, Q * R
+    for a, (norm, factors) in _root_factors(rs).items():
+        pa, ra = lvals[a]
         num = den = 1
-    qp, rr = QQ * pa, RR * ra
-    for b, (pb, rb) in lvals.items():
-        if b == a or b == -a:
-            continue
-        d = pa * rb - pb * ra
-        if d == 0:
-            raise DegenerateEvaluation(f"L_{a} collides with L_{b}")
-        num *= qp * rb - rr * pb
-        den *= d
-    return num, den * (Q * R) ** (2 * rs.rank - 2)
+        for b, m in factors:
+            pb, rb = lvals[b]
+            if not (d := pa * rb - pb * ra):
+                pole = f"L_{a} collides with L_{b}"
+                if b in (0, -a):
+                    pole = "L_a on the unit circle: L_a = 1/L_a"
+                raise DegenerateEvaluation(pole)
+            num *= QQ**m * pa * rb - RR**m * pb * ra
+            den *= d * QR**m
+        yield norm, pa, ra, num, den
 
 
 def g_rational_eval(
     rs: RootSystem, k: int, s: Coeff, half_point: Sequence[Coeff]
 ) -> Fraction:
     """Value of the raw rational block G_{n,k} at L_a := half_point[a]^2,
-    q := s^4: the sum over a of prefactor(a) P_{n,a} L_a^k (plus q^{-k} in
-    type B), one Fraction per index.  Independent of the symbolic
-    constructions."""
+    q := s^4: the sum over a in I' of P_{eps_a} (q^{(eps_a, eps_a) - 1}
+    L_a)^k, one Fraction per index (q^{-k} at the zero weight of type B).
+    Independent of the symbolic constructions."""
     if k < 0:
         raise ValueError("k must be >= 0")
     Q, R, lvals = _rational_point(rs, s, half_point)
     total = Fraction(0)
-    for a, (pa, ra) in lvals.items():
-        num, den = _pref_and_p(rs, lvals, Q, R, a)
-        total += Fraction(num * pa**k, den * ra**k)
-    if rs.lie_type is LieType.B:
-        total += Fraction(R**k, Q**k)
+    for norm, pa, ra, num, den in _p_weights(rs, Q, R, lvals):
+        e = 1 - norm  # q^{(eps_a, eps_a) - 1} = (R/Q)^e
+        total += Fraction(num * (R**e * pa) ** k, den * (Q**e * ra) ** k)
     return total
 
 
@@ -397,30 +404,23 @@ def c0_rational_eval(
     rs: RootSystem, ell: int, s: Coeff, half_point: Sequence[Coeff]
 ) -> Fraction:
     """Value of the raw rational order-ell torus image at L_a :=
-    half_point[a]^2, q := s^4: the sum over a of prefactor(a) P_{n,a}
-    core_a^ell, core_a = (q^shift L_a - 1) / (q - 1/q) with shift = 1 - c_n,
-    the q^{1-c_n} of :func:`hc_combination` (plus the constant slot's core
-    in type B), one Fraction per index."""
+    half_point[a]^2, q := s^4: the sum over a in I' of P_{eps_a}
+    core_a^ell, core_a = (q^shift L_a - 1) / (q - 1/q) with shift =
+    (eps_a, eps_a) - c_n (the q^{1-c_n} of :func:`hc_combination`, and
+    q^{-c_n} at the zero weight of type B), one Fraction per index."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
     Q, R, lvals = _rational_point(rs, s, half_point)
     if Q == R:  # q > 0: q - 1/q = 0 only at q = 1
         raise DegenerateEvaluation("q - 1/q = 0")
-    n = rs.rank
-    shift = 1 - rs.c_n
-    # shift <= 0, so q^shift = sn / sd with sn = R^-shift, sd = Q^-shift:
-    # core_a = (sn p_a - sd r_a) QR / (sd r_a (Q^2 - R^2))
-    sn, sd = R**-shift, Q**-shift
     qr, qdiff = Q * R, Q * Q - R * R
     total = Fraction(0)
-    for a, (pa, ra) in lvals.items():
-        num, den = _pref_and_p(rs, lvals, Q, R, a)
+    for norm, pa, ra, num, den in _p_weights(rs, Q, R, lvals):
+        # shift < 0, so q^shift = sn / sd with sn = R^-shift, sd = Q^-shift:
+        # core_a = (sn p_a - sd r_a) QR / (sd r_a (Q^2 - R^2))
+        sn, sd = R ** (rs.c_n - norm), Q ** (rs.c_n - norm)
         core_num = (sn * pa - sd * ra) * qr
         total += Fraction(num * core_num**ell, den * (sd * ra * qdiff) ** ell)
-    if rs.lie_type is LieType.B:
-        # (q^{-2n} - 1) / (q - 1/q)
-        core = Fraction((R ** (2 * n) - Q ** (2 * n)) * R, Q ** (2 * n - 1) * qdiff)
-        total += core**ell
     return total
 
 

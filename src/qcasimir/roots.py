@@ -4,13 +4,13 @@ Weights live in the span of an orthonormal basis eps_1..eps_n and are stored
 with doubled integer coordinates so the half-integer grid of spin weights
 stays exact.  A :class:`RootSystem` packages positive/simple roots, the Weyl
 vector rho, fundamental weights and the constants of the Casimir formulas.
-Per type, :func:`build_root_system` states the last simple root, the index
-set I' of the Casimir sums ({-n..-1, 1..n}, plus 0 in type B, where eps_0 =
-0) and c_n (dim V - 1 in types B and D, dim V + 1 in type C).  The rest is
-derived: the positive roots and the fundamental weights from the simple
-roots, rho as half the positive-root sum, dim V = |I'|, kappa_n = (c_n -
-1)/2, the hook columns 0..c_n - 1, and the spin indices (the r whose
-fundamental weight is not integral).
+Per type, :func:`build_root_system` states only the last simple root (and
+``MIN_RANK`` the least rank).  The rest is derived: the positive roots and
+the fundamental weights from the simple roots, rho as half the positive-root
+sum, the index set I' of the natural weights eps_a ({-n..-1, 1..n}, plus 0,
+where eps_0 = 0, exactly when eps_1 is a root: type B), c_n = 1 + (eps_1,
+2 rho), dim V = |I'|, kappa_n = (c_n - 1)/2, the hook columns 0..c_n - 1,
+and the spin indices (the r whose fundamental weight is not integral).
 
 Hook weights (k-r)*eps_1 + eps_2 + ... + eps_{rbar+1} parameterize the
 irreducible constituents appearing in the character expansions; ``rbar``
@@ -195,7 +195,7 @@ class RootSystem:
     c_n: int
     kappa_n: Fraction
     dim_natural: int
-    iprime: tuple[int, ...]  # index set of the Casimir sums; 0 present in type B
+    iprime: tuple[int, ...]  # the natural weights eps_a; 0 when eps_1 is a root (B)
 
     @cached_property
     def spin_indices(self) -> tuple[int, ...]:
@@ -271,13 +271,12 @@ def build_root_system(lie: LieType, n: int, /) -> RootSystem:
         raise RankTooSmall(
             f"type {lie.value} needs rank >= {MIN_RANK[lie]}, got {n}"
         )
-    iprime = tuple(i for i in range(-n, n + 1) if i or lie is LieType.B)
-    dim = len(iprime)
-    c_n = dim + 1 if lie is LieType.C else dim - 1
     simple = _simple_roots(lie, n)
     positive = _positive_roots(simple)
     # rho = half the sum of the positive roots; 2 rho is integral
     rho = Weight(tuple(sum(col) // 2 for col in zip(*(a.dbl for a in positive))))
+    iprime = tuple(i for i in range(-n, n + 1) if i or eps(n, 1) in positive)
+    c_n = 1 + int(pairing(eps(n, 1), rho.scale(2)))
     return RootSystem(
         lie_type=lie,
         rank=n,
@@ -287,7 +286,7 @@ def build_root_system(lie: LieType, n: int, /) -> RootSystem:
         fundamental_weights=_fundamental_weights(simple),
         c_n=c_n,
         kappa_n=Fraction(c_n - 1, 2),
-        dim_natural=dim,
+        dim_natural=len(iprime),
         iprime=iprime,
     )
 

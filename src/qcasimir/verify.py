@@ -131,9 +131,9 @@ def chamber_failure(rs: RootSystem, g: GAElem, chamber: GAElem) -> str:
 
 
 def block_identity_cases(systems) -> list[dict]:
-    """Delta times the hook-route block equals q^{-k} Delta (type B only)
-    plus q^{c_n-1} times the antisymmetrized auxiliary element, checked in
-    the dominant chamber by :func:`chamber_failure`."""
+    """Delta times the hook-route block equals q^{c_n-1} times the antisymmetrized
+    auxiliary element, plus q^{-k} Delta for the zero weight of I' (type B),
+    checked in the dominant chamber by :func:`chamber_failure`."""
     out = []
     for rs in systems:
         for k in range(rs.rank + 3):
@@ -211,9 +211,9 @@ def oracle_cases(systems, points: int = 20, seed: int = 0) -> list[dict]:
 
 
 def _hc_weights(rs: RootSystem) -> list[Weight]:
-    """Dominant weights with coordinates in {0, 1, 2} and, for types B and
-    D, in {1/2, 3/2, 5/2}; type D takes both signs of the last coordinate."""
-    grids = [(4, 2, 0)] if rs.lie_type is LieType.C else [(4, 2, 0), (5, 3, 1)]
+    """Dominant weights with coordinates in {0, 1, 2} and, when there are spin
+    indices (B, D), in {1/2, 3/2, 5/2}; type D takes both signs of the last."""
+    grids = [(4, 2, 0), (5, 3, 1)] if rs.spin_indices else [(4, 2, 0)]
     out = []
     for grid in grids:
         for dbl in combinations_with_replacement(grid, rs.rank):

@@ -23,6 +23,7 @@ import pytest
 
 from qcasimir.casimir import (
     DegenerateEvaluation,
+    _root_factors,
     c0_rational_eval,
     ch_g_via_antisym,
     eigenvalue_direct,
@@ -34,7 +35,7 @@ from qcasimir.casimir import (
 )
 from qcasimir.chars import GridMismatch, weyl_character
 from qcasimir.exact import QLaurent, _cleared_powers
-from qcasimir.roots import LieType, Weight, build_root_system, eps, pairing
+from qcasimir.roots import MIN_RANK, LieType, Weight, build_root_system, eps, pairing
 
 SYSTEMS = {
     "B2": build_root_system(LieType.B, 2),
@@ -474,6 +475,56 @@ def test_c0_rational_eval_matches_the_literal_form(name):
     assert seen == BRANCHES[rs.lie_type] | {"ell must be >= #", "q - #/q = #"}
     assert values >= 2 * rs.rank * len(S_VALUES)
     assert bool(unit_circle) is (rs.lie_type is LieType.D)
+
+
+# Generic points of full length up to rank 5.
+WIDE_POINTS = (
+    (2, -3, Fraction(5, 7), Fraction(-4, 3), Fraction(9, 2)),
+    (Fraction(3, 2), 5, Fraction(-2, 7), Fraction(7, 5), Fraction(-11, 4)),
+)
+
+
+@pytest.mark.parametrize("name", ["B5", "C4", "D5"])
+def test_rational_oracles_match_the_literal_forms_at_higher_rank(name):
+    # the (QR)^m bookkeeping of the factor table grows with the rank
+    rs = build_root_system(LieType(name[0]), int(name[1:]))
+    for point in WIDE_POINTS:
+        pt = point[: rs.rank]
+        for s in S_VALUES:
+            for k in range(rs.rank + 2):
+                got = outcome(g_rational_eval, rs, k, s, pt)
+                assert got == literal_g_rational_eval(rs, k, s, pt)
+            for ell in range(1, rs.rank + 1):
+                got = outcome(c0_rational_eval, rs, ell, s, pt)
+                assert got == literal_c0_rational_eval(rs, ell, s, pt)
+
+
+@pytest.mark.parametrize(
+    "lie,n",
+    [(lie, n) for lie in LieType for n in range(MIN_RANK[lie], 10)],
+    ids=lambda v: v.value if isinstance(v, LieType) else str(v),
+)
+def test_root_factors_restate_the_per_type_prefactors(lie, n):
+    # The table is derived from the roots.  Written out per type, it is the
+    # old P_{n,a}, a factor (b, 1) for each b != 0, +-a, times the old
+    # prefactor: the factor (0, 1) in type B, (-a, 2) in type C, none in D.
+    rs = build_root_system(lie, n)
+    table = _root_factors(rs)
+    nonzero = [i * sign for i in range(1, n + 1) for sign in (1, -1)]
+    assert list(table) == [0] * (lie is LieType.B) + nonzero
+    assert table.get(0, (0, ())) == (0, ())  # the zero weight has no factor
+    count = 2 * n - 2 if lie is LieType.D else 2 * n - 1
+    for a in nonzero:
+        norm, factors = table[a]
+        assert norm == 1 and len(factors) == count
+        assert sum(m for _, m in factors) == rs.c_n - 1
+        extra = {LieType.B: [(0, 1)], LieType.C: [(-a, 2)], LieType.D: []}[lie]
+        expected = [(b, 1) for b in nonzero if b not in (a, -a)] + extra
+        assert sorted(factors) == sorted(expected)
+        # the b keep the index order, so a point with several poles raises
+        # the message of the first one, as the literal forms do
+        bs = [b for b, _ in factors]
+        assert bs == sorted(bs, key=list(table).index)
 
 
 # -- degenerate and malformed points --------------------------------------------

@@ -72,13 +72,15 @@ def test_positive_root_counts_formula():
 
 
 # The per-type closed forms of the data that build_root_system derives from
-# I', c_n and the roots, written out once per type as an independent table.
+# the roots (I' and c_n included), written out once per type as an
+# independent table.
 CLOSED_FORMS = {
     LieType.B: dict(
         rho=lambda n, i: n - i + Fraction(1, 2),
         c_n=lambda n: 2 * n,
         kappa_n=lambda n: Fraction(2 * n - 1, 2),
         dim_natural=lambda n: 2 * n + 1,
+        iprime=lambda n: tuple(range(-n, n + 1)),
         hook_columns=lambda n: 2 * n,
         rbar=lambda n, r: min(r, 2 * n - 1 - r),
         spin_indices=lambda n: (n,),
@@ -88,6 +90,7 @@ CLOSED_FORMS = {
         c_n=lambda n: 2 * n + 1,
         kappa_n=lambda n: n,
         dim_natural=lambda n: 2 * n,
+        iprime=lambda n: tuple(i for i in range(-n, n + 1) if i),
         hook_columns=lambda n: 2 * n + 1,
         rbar=lambda n, r: min(r, 2 * n - r, n - 1),
         spin_indices=lambda n: (),
@@ -97,6 +100,7 @@ CLOSED_FORMS = {
         c_n=lambda n: 2 * n - 1,
         kappa_n=lambda n: n - 1,
         dim_natural=lambda n: 2 * n,
+        iprime=lambda n: tuple(i for i in range(-n, n + 1) if i),
         hook_columns=lambda n: 2 * n - 1,
         rbar=lambda n, r: min(r, 2 * n - 2 - r),
         spin_indices=lambda n: (n - 1, n),
@@ -116,6 +120,7 @@ def test_derived_data_match_the_per_type_closed_forms(lie, n):
     assert rs.c_n == form["c_n"](n)
     assert rs.kappa_n == form["kappa_n"](n)
     assert rs.dim_natural == form["dim_natural"](n)
+    assert rs.iprime == form["iprime"](n)
     columns = form["hook_columns"](n)
     assert columns == rs.c_n
     assert [rs.rbar(r) for r in range(columns)] == [
