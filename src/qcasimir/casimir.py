@@ -34,7 +34,6 @@ rational forms only where one of their stated denominators vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -47,6 +46,7 @@ from .roots import (
     LieType,
     RootSystem,
     Weight,
+    _Frozen,
     eps,
     hook_weight,
     pairing,
@@ -58,8 +58,7 @@ class DegenerateEvaluation(ZeroDivisionError):
     """An evaluation point makes one of the rational denominators vanish."""
 
 
-@dataclass(frozen=True)
-class CasimirImage:
+class CasimirImage(_Frozen):
     """A symmetric character-ring element attached to (type, rank, order).
 
     ``provenance`` records which construction produced the body, so that
@@ -70,12 +69,13 @@ class CasimirImage:
     vanish at q = 1, so the denominator never clears).
     """
 
-    lie_type: LieType
-    rank: int
-    order: int
-    body: GAElem
-    provenance: str  # one of {"prop4_3", "hook_expansion", "binomial_transform"}
-    denominator: QLaurent = QLaurent({0: 1})
+    __slots__ = _fields = ("lie_type", "rank", "order", "body", "provenance",
+                           "denominator")
+
+    def __init__(self, lie_type: LieType, rank: int, order: int, body: GAElem,
+                 provenance: str, denominator: QLaurent = QLaurent({0: 1})):
+        # provenance: one of {"prop4_3", "hook_expansion", "binomial_transform"}
+        self._set(lie_type, rank, order, body, provenance, denominator)
 
     def to_json(self) -> dict:
         return {

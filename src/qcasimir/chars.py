@@ -50,7 +50,6 @@ coordinates, highest first (Python tuple comparison).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from collections import Counter
@@ -74,6 +73,7 @@ from .roots import (
     LieType,
     RootSystem,
     Weight,
+    _Frozen,
     eps,
     pairing,
 )
@@ -90,22 +90,21 @@ class GridMismatch(ValueError):
 _ENUM_RANK_LIMIT = 7
 
 
-@dataclass(frozen=True)
-class SignedPerm:
+class SignedPerm(_Frozen):
     """A signed permutation w of {1..n}: w(eps_i) = signs[i] * eps_{perm[i]}.
 
     ``perm`` is a tuple with 1-based images, ``signs`` entries are +-1.
     """
 
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
+    __slots__ = _fields = ("perm", "signs")
 
-    def __post_init__(self):
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(1, n + 1)):
+    def __init__(self, perm: tuple[int, ...], signs: tuple[int, ...]):
+        n = len(perm)
+        if sorted(perm) != list(range(1, n + 1)):
             raise ValueError("perm is not a bijection of 1..n")
-        if len(self.signs) != n or any(s not in (1, -1) for s in self.signs):
+        if len(signs) != n or any(s not in (1, -1) for s in signs):
             raise ValueError("signs must be a +-1 vector of matching length")
+        self._set(perm, signs)
 
     @staticmethod
     def identity(n: int) -> "SignedPerm":

@@ -20,7 +20,6 @@ folds the raw index r into 0..n-1 as min(r, c_n - 1 - r, n - 1).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Sequence
@@ -67,14 +66,59 @@ class LieType(str, enum.Enum):
 MIN_RANK = {LieType.B: 2, LieType.C: 3, LieType.D: 4}
 
 
-@dataclass(frozen=True)
-class Weight:
+class _Frozen:
+    """Base of the immutable types.  ``__init__`` sets each of ``_fields``
+    once; assigning or deleting an attribute then raises AttributeError.
+    Equality (within one class), hash and repr go by the fields, in order."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Weight(_Frozen):
     """Vector over eps_1..eps_n with coordinates in (1/2)Z.
 
     ``dbl`` holds the doubled coordinates as plain ints.
     """
 
-    dbl: tuple[int, ...]
+    __slots__ = _fields = ("dbl",)
+
+    def __init__(self, dbl: tuple[int, ...]):
+        object.__setattr__(self, "dbl", dbl)
+
+    # the hot value type: equality and hash without the generic field walk
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Weight:
+            return NotImplemented
+        return self.dbl == other.dbl
+
+    def __hash__(self) -> int:
+        return hash((self.dbl,))
 
     @staticmethod
     def from_coords(coords: Sequence) -> "Weight":
@@ -180,22 +224,24 @@ def _fundamental_weights(simple: tuple[Weight, ...]) -> tuple[Weight, ...]:
     return tuple(fws)
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
+class RootSystem(_Frozen):
     """The root data of one (type, rank).  :func:`build_root_system` makes
     exactly one instance per (type, rank), so a system compares and hashes
-    by identity, and per-system tables are cached with it as their key."""
+    by identity, and per-system tables are cached with it as their key.
+    No ``__slots__``: cached_property keeps its values in ``__dict__``."""
 
-    lie_type: LieType
-    rank: int
-    positive_roots: tuple[Weight, ...]
-    simple_roots: tuple[Weight, ...]
-    rho: Weight
-    fundamental_weights: tuple[Weight, ...]
-    c_n: int
-    kappa_n: Fraction
-    dim_natural: int
-    iprime: tuple[int, ...]  # the natural weights eps_a; 0 when eps_1 is a root (B)
+    _fields = ("lie_type", "rank", "positive_roots", "simple_roots", "rho",
+               "fundamental_weights", "c_n", "kappa_n", "dim_natural", "iprime")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, lie_type: LieType, rank: int,
+                 positive_roots: tuple[Weight, ...], simple_roots: tuple[Weight, ...],
+                 rho: Weight, fundamental_weights: tuple[Weight, ...], c_n: int,
+                 kappa_n: Fraction, dim_natural: int, iprime: tuple[int, ...]):
+        # iprime: the natural weights eps_a; 0 when eps_1 is a root (B)
+        self._set(lie_type, rank, positive_roots, simple_roots, rho,
+                  fundamental_weights, c_n, kappa_n, dim_natural, iprime)
 
     @cached_property
     def spin_indices(self) -> tuple[int, ...]:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qcasimir.casimir import (
+    CasimirImage,
     DegenerateEvaluation,
     c0_rational_eval,
     ch_g_via_antisym,
@@ -82,6 +83,34 @@ def test_repeated_calls_return_the_cached_object():
     assert ch_g_via_hooks(same_b3, 2) is ch_g_via_hooks(B3, 2)
     assert hc_combination(same_b3, 2) is hc_combination(B3, 2)
     assert triangular_solve(same_b3) is triangular_solve(B3)
+
+
+def test_casimir_image_equality_and_json():
+    hooks = ch_g_via_hooks(B2, 0)
+    # positional fields, the denominator 1 by default, equality by fields
+    same = CasimirImage(LieType.B, 2, 0, hooks.body, "hook_expansion")
+    assert same == hooks and same.denominator == QLaurent({0: 1})
+    assert ch_g_via_antisym(B2, 0) != hooks  # same body, other provenance
+    assert CasimirImage(LieType.B, 2, 0, hooks.body, "hook_expansion", Q(1)) != hooks
+    with pytest.raises(AttributeError):
+        hooks.order = 1
+    assert hooks.to_json() == {
+        "type": "B",
+        "rank": 2,
+        "k_or_ell": 0,
+        "provenance": "hook_expansion",
+        "body": [
+            {
+                "weight": [0, 0],
+                "coeff": [{"e": e, "c": "1"} for e in (-12, -4, 0, 4, 12)],
+            }
+        ],
+        "denominator": [{"e": 0, "c": "1"}],
+    }
+    assert hc_image(B2, 1).to_json()["denominator"] == [
+        {"e": -4, "c": "1"},
+        {"e": 4, "c": "-1"},
+    ]
 
 
 class TestAuxiliaryElement:

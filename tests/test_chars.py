@@ -81,6 +81,26 @@ class TestSignedPerms:
             for s in simple_reflections(rs):
                 assert s.sgn() == -1
 
+    def test_value_semantics(self):
+        w = SignedPerm((2, 1), (1, -1))
+        assert w == SignedPerm((2, 1), (1, -1))
+        assert hash(w) == hash(SignedPerm((2, 1), (1, -1)))
+        assert w != SignedPerm((2, 1), (1, 1)) and w != ((2, 1), (1, -1))
+        assert len(set(enumerate_weyl(B2))) == 8
+        assert repr(w) == "SignedPerm(perm=(2, 1), signs=(1, -1))"
+        with pytest.raises(AttributeError):
+            w.perm = (1, 2)
+        with pytest.raises(AttributeError):
+            del w.signs
+        assert w.perm == (2, 1) and w.signs == (1, -1)
+
+    @pytest.mark.parametrize(
+        "perm, signs", [((1, 1), (1, 1)), ((1, 3), (1, 1)), ((1, 2), (1,)), ((1, 2), (1, 0))]
+    )
+    def test_rejects_non_signed_permutations(self, perm, signs):
+        with pytest.raises(ValueError):
+            SignedPerm(perm, signs)
+
     def test_sgn_two_sign_flips(self):
         w = SignedPerm((1, 2), (-1, -1))
         assert w.sgn() == 1

@@ -406,10 +406,11 @@ def _oracle_points(rank):
 
 ORACLE_S = S_VALUES + (1, -1, 0)
 
-# Every error the kernels raise, digits masked, per type.  Only the B and C
-# prefactors divide by L_a - L_{-a}; the type D prefactor is 1 and its
-# product skips b = -a, so where the literal form refuses L_a = 1/L_a in
-# type D the kernel must give the symbolic route's value.
+# Every error the kernels raise, digits masked, per type.  The kernel has no
+# prefactor: its unit-circle pole is the root factor at b = 0 (type B) or
+# b = -a (type C), whose denominator vanishes when L_a = 1/L_a.  Type D has
+# neither root, so where the literal form refuses L_a = 1/L_a in type D the
+# kernel must give the symbolic route's value.
 UNIT_CIRCLE = "L_a on the unit circle: L_a = 1/L_a"
 COMMON_BRANCHES = {
     "q = #",

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is read in that module.
+"""Every name a module of the package imports is read in that module, and
+importing the package loads no module it does not need.
 
 Each ``src/qcasimir/*.py`` other than ``__init__.py`` (whose imports are the
 public exports) is parsed with ``ast``; a name bound by an import and never
@@ -7,6 +8,9 @@ as reads, string annotations included.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +68,24 @@ def test_checker_flags_leftovers():
         "    return hc_value(random.random(), os.path)\n"
     )
     assert unused_imports(source) == ["dataclass", "DegenerateEvaluation"]
+
+
+def test_import_loads_no_dataclass_machinery():
+    # every CLI call and verify run starts a fresh interpreter; dataclasses
+    # (and inspect, ast, dis, tokenize with it) would cost it at start-up
+    code = (
+        "import sys; before = set(sys.modules); import qcasimir; "
+        "print(qcasimir.__file__); print(*sorted(set(sys.modules) - before))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.splitlines()
+    assert Path(out[0]).resolve().parent == SRC
+    loaded = set(out[1].split())
+    assert "qcasimir.roots" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}

@@ -12,6 +12,7 @@ from qcasimir.roots import (
     NotDominant,
     NotOnWeightLattice,
     RankTooSmall,
+    RootSystem,
     Weight,
     WrongType,
     build_root_system,
@@ -42,6 +43,40 @@ def test_one_root_system_per_type_and_rank():
     assert len({B2, B3, C3, D4, build_root_system("B", 3)}) == 4
     with pytest.raises(TypeError):  # a keyword call would key a second entry
         build_root_system(lie=LieType.B, n=2)
+
+
+def test_weight_is_a_frozen_value():
+    w = Weight((2, 0))
+    assert w == Weight((2, 0)) and hash(w) == hash(Weight((2, 0)))
+    assert hash(w) == hash(((2, 0),))  # set and dict orders follow this hash
+    assert w != Weight((0, 2)) and w != (2, 0) and (2, 0) != w
+    assert len({w, Weight((2, 0)), Weight((0, 2))}) == 2
+    assert repr(w) == "Weight(dbl=(2, 0))"
+    with pytest.raises(AttributeError):
+        w.dbl = (0, 0)
+    with pytest.raises(AttributeError):
+        del w.dbl
+    with pytest.raises(AttributeError):
+        w.extra = 1
+    assert w.dbl == (2, 0)
+
+
+def test_root_system_is_frozen_and_caches_spin_indices():
+    assert B3.spin_indices is B3.spin_indices == (3,)
+    for name in ("rank", "rho", "spin_indices", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(B3, name, None)
+    for name in ("rank", "spin_indices"):
+        with pytest.raises(AttributeError):
+            delattr(B3, name)
+    assert B3.rank == 3 and B3.spin_indices == (3,)
+    # the positional constructor; a second instance is a different system
+    other = RootSystem(
+        B3.lie_type, B3.rank, B3.positive_roots, B3.simple_roots, B3.rho,
+        B3.fundamental_weights, B3.c_n, B3.kappa_n, B3.dim_natural, B3.iprime,
+    )
+    assert other != B3 and other.rho == B3.rho and other.iprime == B3.iprime
+    assert other.spin_indices == B3.spin_indices
 
 
 def test_rank_constraints():
