@@ -3,7 +3,9 @@ lattice.
 
 The Weyl groups of types B and C coincide: all signed permutations of
 {1..n}; type D is the index-two subgroup with an even number of sign flips.
-Group elements act on weights coordinate-wise, and the antisymmetrizer
+One walk lists the group up to rank 7 for :func:`enumerate_weyl` and the
+orbit table, and sgn(w), the determinant, is always read off one inversion
+count.  Group elements act on weights coordinate-wise, and the antisymmetrizer
 ``sum over w of sgn(w) * w`` produces alternants.
 
 An alternating element is determined by its coefficients on strictly
@@ -52,8 +54,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from collections import Counter
 from itertools import permutations, product
+from math import prod
 from operator import add, itemgetter, mul, sub
 from typing import Sequence
 
@@ -110,10 +112,6 @@ class SignedPerm(_Frozen):
     def identity(n: int) -> "SignedPerm":
         return SignedPerm(tuple(range(1, n + 1)), (1,) * n)
 
-    @property
-    def rank(self) -> int:
-        return len(self.perm)
-
     def apply(self, w: Weight) -> Weight:
         if len(w.dbl) != len(self.perm):
             raise RankMismatch("weight rank differs from permutation rank")
@@ -134,24 +132,14 @@ class SignedPerm(_Frozen):
 
     def sgn(self) -> int:
         """Determinant of the signed permutation matrix."""
-        return _perm_parity(self.perm) * (1 if self.sign_flips() % 2 == 0 else -1)
+        return _perm_parity(self.perm) * prod(self.signs)
 
 
-def _perm_parity(perm: Sequence[int]) -> int:
-    seen = [False] * len(perm)
-    parity = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j] - 1
-            length += 1
-        if length % 2 == 0:
-            parity = -parity
-    return parity
+def _perm_parity(seq: Sequence) -> int:
+    """(-1)^(number of inversions i < j, seq[i] > seq[j])."""
+    n = len(seq)
+    odd = sum(seq[i] > seq[j] for i in range(n) for j in range(i + 1, n)) % 2
+    return -1 if odd else 1
 
 
 def _act_dbl(
@@ -163,21 +151,29 @@ def _act_dbl(
     return tuple(out)
 
 
-def enumerate_weyl(rs: RootSystem) -> list[SignedPerm]:
-    """All group elements; 2^n * n! for types B/C, half that for type D."""
+def _weyl_elements(rs: RootSystem):
+    """Every group element as (perm, signs, sgn(w)) (see :class:`SignedPerm`):
+    permutations in lexicographic order, each with every sign pattern (in
+    type D the even ones); sgn(w) is perm's parity times the signs' product."""
     n = rs.rank
     if n > _ENUM_RANK_LIMIT:
         raise RankTooLargeForEnumeration(
             f"rank {n} exceeds the enumeration guard ({_ENUM_RANK_LIMIT})"
         )
-    even_only = rs.lie_type is LieType.D
-    elems = []
+    patterns = [
+        (signs, prod(signs))
+        for signs in product((1, -1), repeat=n)
+        if rs.lie_type is not LieType.D or prod(signs) > 0
+    ]
     for perm in permutations(range(1, n + 1)):
-        for signs in product((1, -1), repeat=n):
-            if even_only and sum(1 for s in signs if s < 0) % 2:
-                continue
-            elems.append(SignedPerm(perm, signs))
-    return elems
+        parity = _perm_parity(perm)
+        for signs, sign in patterns:
+            yield perm, signs, parity * sign
+
+
+def enumerate_weyl(rs: RootSystem) -> list[SignedPerm]:
+    """All group elements; 2^n * n! for types B/C, half that for type D."""
+    return [SignedPerm(perm, signs) for perm, signs, _ in _weyl_elements(rs)]
 
 
 @cache
@@ -373,9 +369,10 @@ def straighten(x: GAElem, rs: RootSystem) -> GAElem:
       tie (two zeros included).
     """
     n = rs.rank
+    if x.rank != n:
+        raise RankMismatch("ranks differ")
     type_d = rs.lie_type is LieType.D
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    moves: dict[tuple, tuple | None] = {}  # weight -> (dominant, odd) or None
+    moves: dict[tuple, tuple | None] = {}  # weight -> (dominant, sign) or None
     res: dict[tuple, Coeff] = {}
     for key, c in x.terms.items():
         w = key[:-1]
@@ -385,38 +382,28 @@ def straighten(x: GAElem, rs: RootSystem) -> GAElem:
                 moves[w] = None
             else:
                 dom, flips = _to_dominant(mags, w, type_d)
-                odd = sum(1 for i, j in pairs if mags[i] < mags[j])
-                moves[w] = dom, (odd + (0 if type_d else flips)) % 2
+                sign = _perm_parity(mags[::-1])  # of the decreasing sort
+                moves[w] = dom, -sign if flips % 2 and not type_d else sign
         move = moves[w]
         if move is not None:
             k = move[0] + key[-1:]
-            res[k] = res.get(k, 0) + (-c if move[1] else c)
+            res[k] = res.get(k, 0) + (c if move[1] > 0 else -c)
     return x._like(_clean(res))
 
 
 @cache
 def _orbit_getters(rs: RootSystem) -> tuple:
-    """[(gather, sgn(w))] over the group: gather(key + -key) is w(key), read
-    off one tuple by C-level indexing.
-
-    Built straight from permutations x sign patterns, in the order of
-    :func:`enumerate_weyl`: w(eps_i) = +-eps_perm(i) puts key[i] (offset n
-    for a flipped sign) at position perm(i), and sgn(w) is the parity of
-    perm, taken once per permutation, times (-1)^(sign flips).
-    """
+    """[(gather, sgn(w))] in the order of :func:`enumerate_weyl`:
+    gather(key + -key) is w(key) by C-level indexing, as w(eps_i) =
+    +-eps_perm(i) puts key[i] (offset n if flipped) at position perm(i)."""
     n = rs.rank
-    patterns = [
-        (offsets, -1 if offsets.count(n) % 2 else 1)
-        for offsets in product((0, n), repeat=n)
-        if rs.lie_type is not LieType.D or offsets.count(n) % 2 == 0
-    ]
     out = []
-    for perm in permutations(range(1, n + 1)):
-        parity = _perm_parity(perm)
-        inverse = sorted(range(n), key=perm.__getitem__)
-        for offsets, flips in patterns:
-            src = [i + offsets[i] for i in inverse]
-            out.append((itemgetter(*src), parity * flips))
+    last = None
+    for perm, signs, sgn in _weyl_elements(rs):
+        if perm != last:  # the walk yields each perm's sign patterns in a row
+            last, inverse = perm, sorted(range(n), key=perm.__getitem__)
+        src = [i if signs[i] > 0 else i + n for i in inverse]
+        out.append((itemgetter(*src), sgn))
     return tuple(out)
 
 
@@ -587,23 +574,15 @@ def _orbit(dom: tuple, type_d: bool):
 
 
 def _distinct_permutations(values: tuple):
-    counts = Counter(values)
-    n = len(values)
-    prefix: list = []
-
-    def extend():
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for v in counts:
-            if counts[v]:
-                counts[v] -= 1
-                prefix.append(v)
-                yield from extend()
-                prefix.pop()
-                counts[v] += 1
-
-    return extend()
+    """Each distinct ordering of ``values`` once, values taken in order of
+    first appearance, at a cost in proportion to the orderings yielded."""
+    if len(values) < 2:
+        yield values
+        return
+    for v in dict.fromkeys(values):
+        i = values.index(v)
+        for rest in _distinct_permutations(values[:i] + values[i + 1 :]):
+            yield (v,) + rest
 
 
 @cache

@@ -120,11 +120,12 @@ def jt_character(rs: RootSystem, parts, target: str = "ga"):
     must be even before the global halving; an odd one raises
     :class:`HalvingFailed`.
     """
-    parts = tuple(int(p) for p in parts if p)
+    parts = tuple(int(p) for p in parts)
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)) or any(
         p < 0 for p in parts
     ):
         raise ValueError(f"{parts} is not a partition")
+    parts = tuple(p for p in parts if p)
     if len(parts) > rs.rank:
         raise PartitionTooLong(
             f"partition with {len(parts)} parts exceeds rank {rs.rank}"

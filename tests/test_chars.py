@@ -11,6 +11,7 @@ from qcasimir.chars import (
     RankTooLargeForEnumeration,
     SignedPerm,
     _div_root_factor,
+    _orbit,
     _orbit_getters,
     alternant,
     antisymmetrize,
@@ -27,7 +28,14 @@ from qcasimir.chars import (
     weyl_denominator,
 )
 from qcasimir.casimir import ch_g_via_hooks
-from qcasimir.exact import EPoly, NotDivisible, QLaurent, RankMismatch, ZeroBase
+from qcasimir.exact import (
+    EPoly,
+    NotDivisible,
+    QLaurent,
+    RankMismatch,
+    ZeroBase,
+    det_cofactor,
+)
 from qcasimir.roots import (
     LieType,
     NotDominant,
@@ -104,6 +112,16 @@ class TestSignedPerms:
     def test_sgn_two_sign_flips(self):
         w = SignedPerm((1, 2), (-1, -1))
         assert w.sgn() == 1
+
+    @pytest.mark.parametrize("rs", [B3, C3, D4], ids=lambda r: f"{r.lie_type.value}{r.rank}")
+    def test_sgn_is_the_determinant(self, rs):
+        # the matrix of w: column i is signs[i] * e_perm(i)
+        n = rs.rank
+        for w in enumerate_weyl(rs):
+            rows = [[0] * n for _ in range(n)]
+            for i, (p, s) in enumerate(zip(w.perm, w.signs)):
+                rows[p - 1][i] = s
+            assert w.sgn() == det_cofactor(rows), w
 
     def test_sgn_is_multiplicative(self):
         rng = random.Random(5)
@@ -575,6 +593,18 @@ class TestKeyRank:
         with pytest.raises(RankMismatch):
             divide_by_denominator(weyl_denominator(C3), B2)
 
+    def test_straighten_an_element_of_another_rank(self):
+        with pytest.raises(RankMismatch):
+            straighten(GAElem(2, {(3, 1): ONE}), B3)
+
+    def test_antisymmetrize_an_element_of_another_rank(self):
+        with pytest.raises(RankMismatch):
+            antisymmetrize(GAElem(2, {(3, 1): ONE}), B3)
+
+    def test_alternant_of_a_weight_of_another_rank(self):
+        with pytest.raises(RankMismatch):
+            alternant(B2, Weight((5, 3, 1)))
+
 
 def _integral_dominant(rs, bound):
     from itertools import product as iproduct
@@ -674,9 +704,13 @@ class TestFreudenthal:
         (LieType.C, 8, ((2,) + (0,) * 7, (2, 2, 2) + (0,) * 5, (2, 2) + (0,) * 6)),
         (LieType.D, 8, ((2,) + (0,) * 7, (2, 2, 2) + (0,) * 5, (1,) * 7 + (-1,))),
         (LieType.B, 9, ((2,) + (0,) * 8, (2, 2, 2) + (0,) * 6, (1,) * 9)),
+        # 12! orderings of (2, 2, 2, 0, ...), of which 220 are distinct
+        (LieType.B, 12, ((2,) + (0,) * 11, (2, 2, 2) + (0,) * 9, (1,) * 12)),
     )
 
-    @pytest.mark.parametrize("lie,n,weights", PAST_GUARD, ids=("B8", "C8", "D8", "B9"))
+    @pytest.mark.parametrize(
+        "lie,n,weights", PAST_GUARD, ids=("B8", "C8", "D8", "B9", "B12")
+    )
     def test_past_the_enumeration_guard(self, lie, n, weights):
         rs = build_root_system(lie, n)
         with pytest.raises(RankTooLargeForEnumeration):
@@ -686,6 +720,25 @@ class TestFreudenthal:
             chi = weyl_character(rs, lam)
             assert chi.evaluate(1, [1] * n) == weyl_dimension(rs, lam)
             assert is_w_invariant(chi, rs)
+
+    def test_orbit_table_past_the_enumeration_guard(self):
+        b8 = build_root_system(LieType.B, 8)
+        with pytest.raises(RankTooLargeForEnumeration):
+            alternant(b8, b8.rho)
+        with pytest.raises(RankTooLargeForEnumeration):
+            weyl_denominator(b8)
+
+
+@pytest.mark.parametrize("rs", [B3, C3, D4], ids=lambda r: f"{r.lie_type.value}{r.rank}")
+def test_orbit_images_are_distinct_and_complete(rs):
+    """_orbit yields each image of a dominant weight once, and they are the
+    images under the enumerated group."""
+    group = enumerate_weyl(rs)
+    type_d = rs.lie_type is LieType.D
+    for lam in _dominant_grid(rs, 2):
+        images = list(_orbit(lam.dbl, type_d))
+        assert len(images) == len(set(images)), lam
+        assert set(images) == {w.apply(lam).dbl for w in group}, lam
 
 
 def _rand_chamber(rs, rng, nterms=4):

@@ -69,6 +69,13 @@ class TestJacobiTrudi:
         with pytest.raises(PartitionTooLong):
             jt_character(B2, (1, 1, 1))
 
+    def test_rejects_a_zero_before_a_part(self):
+        # trailing zeros are allowed, a zero followed by a part is not
+        assert jt_character(B3, (2, 1, 0)) == jt_character(B3, (2, 1))
+        for parts in ((2, 0, 1), (1, 2)):
+            with pytest.raises(ValueError, match="is not a partition"):
+                jt_character(B3, parts)
+
     @pytest.mark.parametrize(
         "rs", (B2, B3, C3), ids=lambda r: f"{r.lie_type.value}{r.rank}"
     )
