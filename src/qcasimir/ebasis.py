@@ -22,7 +22,6 @@ E_k = num(G_1..G_k)/den, and all verifications multiply back by den.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
 from .casimir import ch_g_via_antisym, hook_terms
@@ -32,6 +31,7 @@ from .roots import (
     IndexOutOfRange,
     LieType,
     RootSystem,
+    partition_parts,
 )
 
 
@@ -69,10 +69,6 @@ def conjugate_partition(parts: tuple[int, ...]) -> tuple[int, ...]:
 def _halve(x: EPoly, context: str) -> EPoly:
     out = {}
     for k, v in x.terms.items():
-        if isinstance(v, Fraction):
-            if v.denominator != 1:
-                raise HalvingFailed(f"non-integer coefficient in {context}")
-            v = v.numerator
         if v % 2:
             raise HalvingFailed(f"odd coefficient {v} in {context}")
         out[k] = v // 2
@@ -120,12 +116,7 @@ def jt_character(rs: RootSystem, parts, target: str = "ga"):
     must be even before the global halving; an odd one raises
     :class:`HalvingFailed`.
     """
-    parts = tuple(int(p) for p in parts)
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)) or any(
-        p < 0 for p in parts
-    ):
-        raise ValueError(f"{parts} is not a partition")
-    parts = tuple(p for p in parts if p)
+    parts = tuple(p for p in partition_parts(parts) if p)
     if len(parts) > rs.rank:
         raise PartitionTooLong(
             f"partition with {len(parts)} parts exceeds rank {rs.rank}"

@@ -274,7 +274,7 @@ class RootSystem(_Frozen):
             if d[i] < d[i + 1]:
                 return False
         if self.lie_type is LieType.D:
-            return self.rank < 2 or d[self.rank - 2] >= abs(d[self.rank - 1])
+            return d[self.rank - 2] >= abs(d[self.rank - 1])
         return d[self.rank - 1] >= 0
 
     def is_on_weight_lattice(self, lam: Weight) -> bool:
@@ -377,13 +377,22 @@ def weyl_dimension(rs: RootSystem, lam: Weight) -> Fraction:
     return num
 
 
+def partition_parts(parts: Sequence) -> tuple[int, ...]:
+    """The parts as ints, once each is checked integral (an int or an
+    integral Fraction), non-negative and no larger than the one before."""
+    parts = tuple(parts)
+    if not all(
+        isinstance(p, int) or (isinstance(p, Fraction) and p.denominator == 1)
+        for p in parts
+    ) or not all(a >= b >= 0 for a, b in zip(parts, parts[1:] + (0,))):
+        raise RootDataError(f"{parts} is not a partition")
+    return tuple(int(p) for p in parts)
+
+
 def partition_to_weight(rs: RootSystem, parts: Sequence[int]) -> Weight:
     """Embed a partition (lam_1 >= lam_2 >= ... >= 0) as a dominant weight."""
     parts = tuple(parts)
     if len(parts) > rs.rank:
         raise IndexOutOfRange("partition has more parts than the rank")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)) or any(
-        p < 0 for p in parts
-    ):
-        raise RootDataError(f"{parts} is not a partition")
+    parts = partition_parts(parts)
     return Weight(tuple(2 * p for p in parts) + (0,) * (rs.rank - len(parts)))

@@ -339,15 +339,12 @@ def _partitions_bounded(total_max: int, max_len: int):
     def rec(rest, maxpart, cur):
         if cur:
             out.append(tuple(cur))
-        if not rest:
-            return
-        for p in range(min(rest, maxpart), 0, -1):
-            if len(cur) < max_len:
+        if len(cur) < max_len:
+            for p in range(min(rest, maxpart), 0, -1):
                 rec(rest - p, p, cur + [p])
 
-    for m in range(1, total_max + 1):
-        rec(m, m, [])
-    return sorted(set(out))
+    rec(total_max, total_max, [])
+    return sorted(out)
 
 
 def jt_cases(systems) -> list[dict]:

@@ -1,13 +1,18 @@
 """Determinantal characters, the e-basis, and the triangular change of basis."""
 
+from fractions import Fraction
+
 import pytest
 
 from qcasimir.casimir import ch_g_via_hooks
 from qcasimir.chars import GAElem, ext_power_char, weyl_character
 from qcasimir.ebasis import (
     CertificateFailed,
+    HalvingFailed,
     PartitionTooLong,
     SingularLeadingCoefficient,
+    _e_symbol,
+    _jt_matrix,
     conjugate_partition,
     expected_leading_coeff,
     g_in_e_basis,
@@ -18,7 +23,7 @@ from qcasimir.ebasis import (
     solution_ok_in_characters,
     triangular_solve,
 )
-from qcasimir.exact import QL_ONE, EPoly, QLaurent, det_exact
+from qcasimir.exact import QL_ONE, EPoly, QLaurent, det_bareiss, det_exact
 from qcasimir.roots import LieType, Weight, build_root_system, partition_to_weight
 from qcasimir.verify import certificate_cases, in_scope_systems
 
@@ -77,6 +82,32 @@ class TestJacobiTrudi:
                 jt_character(B3, parts)
 
     @pytest.mark.parametrize(
+        "build, parts",
+        (
+            (jt_character, (Fraction(3, 2), 1)),
+            (jt_character, (2.7, 1)),
+            (partition_to_weight, (Fraction(3, 2), 1)),
+            (partition_to_weight, (2.5, 1)),
+        ),
+        ids=("jt-3/2", "jt-2.7", "weight-3/2", "weight-2.5"),
+    )
+    def test_rejects_non_integral_parts(self, build, parts):
+        # int() truncation would silently read another partition
+        with pytest.raises(ValueError, match="is not a partition"):
+            build(B3, parts)
+
+    def test_accepts_integral_fractions(self):
+        parts = (Fraction(2), Fraction(1), Fraction(0))
+        assert jt_character(B3, parts) == jt_character(B3, (2, 1))
+        assert partition_to_weight(B3, parts) == partition_to_weight(B3, (2, 1))
+
+    def test_odd_coefficient_fails_halving(self, monkeypatch):
+        odd = EPoly.symbol(3, 1, QLaurent.one())
+        monkeypatch.setattr("qcasimir.ebasis.det_exact", lambda rows: odd)
+        with pytest.raises(HalvingFailed, match="odd coefficient 1 in B3"):
+            jt_character(B3, (2, 1), target="e")
+
+    @pytest.mark.parametrize(
         "rs", (B2, B3, C3), ids=lambda r: f"{r.lie_type.value}{r.rank}"
     )
     def test_matches_weyl_characters(self, rs):
@@ -108,6 +139,31 @@ class TestJacobiTrudi:
                 poly = jt_character(rs, parts, target="e")
                 val = poly.substitute(exts, GAElem.one(rs.rank))
                 assert val == jt_character(rs, parts), parts
+
+
+B7 = build_root_system(LieType.B, 7)
+D7 = build_root_system(LieType.D, 7)
+
+
+class TestSizeSevenDeterminants:
+    """Cofactor expansion is the one path at every size; Bareiss is only its
+    oracle."""
+
+    @pytest.mark.parametrize(
+        "rs, parts",
+        ((B7, (7, 1)), (D7, (7, 1)), (B7, (7, 5, 3, 1))),
+        ids=("B7-7,1", "D7-7,1", "B7-7,5,3,1"),
+    )
+    def test_matches_bareiss(self, rs, parts):
+        m = _jt_matrix(rs, parts, _e_symbol)
+        assert det_exact(m) == det_bareiss(m)
+
+    def test_never_calls_bareiss(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("det_exact reached det_bareiss")
+
+        monkeypatch.setattr("qcasimir.exact.det_bareiss", refuse)
+        assert not det_exact(_jt_matrix(B7, (7, 1), _e_symbol)).is_zero()
 
 
 class TestHookMatrices:
