@@ -34,10 +34,11 @@ rational forms only where one of their stated denominators vanishes.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import comb
-from operator import mul
+from operator import add
 from typing import Iterator, Sequence
 
 from .chars import GAElem, GridMismatch, character_sum, ext_power_char, straighten
@@ -254,22 +255,44 @@ def hc_image(rs: RootSystem, ell: int) -> CasimirImage:
     )
 
 
+@cache
+def _hc_classes(rs: RootSystem, ell: int) -> tuple[tuple[tuple, tuple], ...]:
+    """The weights of :func:`hc_combination` grouped by their q-coefficient:
+    one entry per class, its q terms as (quarter-grid exponent, coefficient)
+    pairs and its weights as one column of doubled coordinates per lane.
+    The combination is W-invariant, so the classes are its W-orbits, but the
+    grouping is exact for any element."""
+    per_weight: dict[tuple, dict[int, Coeff]] = {}
+    for key, c in hc_combination(rs, ell).terms.items():
+        per_weight.setdefault(key[:-1], {})[key[-1]] = c
+    classes: dict[tuple, list[tuple]] = {}
+    for w, qterms in per_weight.items():
+        classes.setdefault(tuple(sorted(qterms.items())), []).append(w)
+    return tuple((qterms, tuple(zip(*ws))) for qterms, ws in classes.items())
+
+
+@cache
 def hc_at_weight(rs: RootSystem, ell: int, lam: Weight) -> QLaurent:
     """The binomial combination with e^{eps_a} := q^{2(lam + rho, eps_a)}:
     (q^{-1} - q)^ell times the eigenvalue of the order-ell invariant on the
-    simple module of highest weight lam, as a Laurent polynomial in q."""
+    simple module of highest weight lam, as a Laurent polynomial in q.
+
+    Each coefficient class of :func:`_hc_classes` takes its shifts
+    2(lam + rho, w) lane by lane over its columns; each distinct shift then
+    meets the class's q terms once, times the number of weights giving it.
+    Memoized per (rs, ell, lam): the numerator does not depend on the point
+    q is evaluated at."""
     rs.check_highest_weight(lam)
-    lam_rho = (lam + rs.rho).dbl
-    shifts: dict[tuple, int] = {}
+    # 4 (quarter units) * 2 (lam+rho, w/2) on doubled coordinates
+    factors = [2 * d for d in (lam + rs.rho).dbl]
     num: dict[int, Coeff] = {}
-    for key, c in hc_combination(rs, ell).terms.items():
-        w = key[:-1]
-        shift = shifts.get(w)
-        if shift is None:
-            # 4 (quarter units) * 2 (lam+rho, w/2) on doubled coordinates
-            shift = shifts[w] = 2 * sum(map(mul, lam_rho, w))
-        e = key[-1] + shift
-        num[e] = num.get(e, 0) + c
+    for qterms, columns in _hc_classes(rs, ell):
+        shifts = map(factors[0].__mul__, columns[0])
+        for f, col in zip(factors[1:], columns[1:]):
+            shifts = map(add, shifts, map(f.__mul__, col))
+        for shift, mult in Counter(shifts).items():
+            for e, c in qterms:
+                num[e + shift] = num.get(e + shift, 0) + mult * c
     return QLaurent(num)
 
 

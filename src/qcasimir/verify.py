@@ -246,9 +246,10 @@ def hc_cases(systems) -> list[dict]:
         one = GAElem.one(rs.rank)
         for ell in range(1, rs.rank + 1):
             comb_body = hc_combination(rs, ell)
+            full, spin = hc_denominator(ell), half**ell
             divisible = 0
             for lam in weights:
-                den = hc_denominator(ell) if lam.is_integral() else half**ell
+                den = full if lam.is_integral() else spin
                 try:
                     hc_at_weight(rs, ell, lam).div_exact(den)
                     divisible += 1

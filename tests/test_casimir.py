@@ -2,12 +2,16 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from operator import mul
 
 import pytest
 
+from qcasimir import verify
 from qcasimir.casimir import (
     CasimirImage,
     DegenerateEvaluation,
+    _hc_classes,
     c0_rational_eval,
     ch_g_via_antisym,
     ch_g_via_hooks,
@@ -41,6 +45,7 @@ from qcasimir.ebasis import jt_character, triangular_solve
 from qcasimir.exact import NotDivisible, QLaurent
 from qcasimir.roots import (
     LieType,
+    NotDominant,
     NotOnWeightLattice,
     Weight,
     build_root_system,
@@ -449,6 +454,110 @@ class TestTorusImages:
             for ell in range(1, rs.rank + 1):
                 ones = [1] * rs.rank
                 assert hc_value(rs, ell, -1, ones) == hc_value(rs, ell, 1, ones)
+
+
+def literal_hc_at_weight(rs, ell, lam):
+    """The flat-term loop that ``hc_at_weight`` replaced, kept as its oracle:
+    every (weight, q) term of the combination, its shift looked up per
+    weight."""
+    rs.check_highest_weight(lam)
+    lam_rho = (lam + rs.rho).dbl
+    shifts: dict[tuple, int] = {}
+    num: dict[int, Fraction | int] = {}
+    for key, c in hc_combination(rs, ell).terms.items():
+        w = key[:-1]
+        shift = shifts.get(w)
+        if shift is None:
+            # 4 (quarter units) * 2 (lam+rho, w/2) on doubled coordinates
+            shift = shifts[w] = 2 * sum(map(mul, lam_rho, w))
+        e = key[-1] + shift
+        num[e] = num.get(e, 0) + c
+    return QLaurent(num)
+
+
+def _small_dominant_weights(rs):
+    """Dominant weights with |coordinates| at most 5/2: the integral ones,
+    the spin ones (types B and D), and in type D both signs of the last
+    coordinate."""
+    out = []
+    for parts in combinations_with_replacement(range(3), rs.rank):
+        dbl = tuple(2 * c for c in sorted(parts, reverse=True))
+        for d in (dbl, tuple(c + 1 for c in dbl)):
+            for last in {d[-1], -d[-1]}:
+                lam = Weight(d[:-1] + (last,))
+                if rs.is_dominant(lam) and rs.is_on_weight_lattice(lam):
+                    out.append(lam)
+    return out
+
+
+class TestHcAtWeight:
+    """The coefficient-class kernel and its memo against the flat loop."""
+
+    @pytest.mark.parametrize("rs", SMALL, ids=_name)
+    def test_equals_literal_loop(self, rs):
+        weights = _small_dominant_weights(rs)
+        kinds = {(lam.is_integral(), lam.dbl[-1] < 0) for lam in weights}
+        expected = {
+            LieType.B: {(True, False), (False, False)},
+            LieType.C: {(True, False)},
+            LieType.D: {(True, False), (False, False), (True, True), (False, True)},
+        }
+        assert kinds == expected[rs.lie_type]
+        for ell in range(1, rs.rank + 1):
+            for lam in weights:
+                assert hc_at_weight(rs, ell, lam) == literal_hc_at_weight(rs, ell, lam)
+
+    def test_classes_partition_the_combination(self):
+        # each weight of the combination lies in exactly one class, and the
+        # class carries that weight's q-coefficient
+        for rs in SMALL:
+            for ell in range(1, rs.rank + 1):
+                coeffs = hc_combination(rs, ell)._per_weight()
+                seen = []
+                for qterms, columns in _hc_classes(rs, ell):
+                    assert len(columns) == rs.rank
+                    for w in zip(*columns):
+                        assert coeffs[w] == QLaurent(dict(qterms))
+                        seen.append(w)
+                assert sorted(seen) == sorted(coeffs)
+
+    def test_refusals_are_not_cached(self):
+        refused = (
+            (B3, Weight((0, 2, 0)), NotDominant),
+            (C3, Weight((1, 1, 1)), NotOnWeightLattice),
+            (B3, Weight((2, 1, 1)), NotOnWeightLattice),
+        )
+        for rs, lam, exc in refused:
+            for _ in range(2):
+                with pytest.raises(exc):
+                    hc_at_weight(rs, 1, lam)
+
+    def test_cancellation_leaves_the_cached_numerator_intact(self):
+        # s = 1 takes the path of _quotient_at that divides the numerator by
+        # (v - 1) until the pole is gone
+        for rs, lam in ((B3, Weight((3, 1, 1))), (D4, Weight((2, 2, 2, -2)))):
+            for ell in range(1, rs.rank + 1):
+                num = hc_at_weight(rs, ell, lam)
+                eigenvalue_via_hc(rs, lam, ell, 1)
+                assert hc_at_weight(rs, ell, lam) is num
+                assert num == literal_hc_at_weight(rs, ell, lam)
+
+    def test_eigen_cases_specialize_once_per_weight(self, monkeypatch):
+        calls = []
+
+        def recording(rs, lam, ell, s):
+            calls.append((ell, lam, s))
+            return eigenvalue_via_hc(rs, lam, ell, s)
+
+        monkeypatch.setattr(verify, "eigenvalue_via_hc", recording)
+        hc_at_weight.cache_clear()
+        verify.eigen_cases([B3])
+        info = hc_at_weight.cache_info()
+        distinct = {(ell, lam) for ell, lam, _ in calls}
+        assert sorted({s for _, _, s in calls}) == [2, 3]
+        assert info.misses == len(distinct)
+        assert info.hits == len(calls) - len(distinct)
+        assert info.hits >= sum(s == 3 for _, _, s in calls)
 
 
 class TestEigenvalues:

@@ -106,6 +106,11 @@ def _commands() -> list[tuple[str, ...]]:
     # The raw rational oracles against both symbolic evaluations.
     for t, n in (("B", "3"), ("D", "4")):
         cmds.append(("verify", "--suite", "oracle", "--type", t, "--rank", n, "--points", "5"))
+    # Torus images specialized at dominant weights: eigenvalues at s = 2
+    # and 3, and the exact divisibility at every weight of the torus suite.
+    for t, n in (("B", "3"), ("D", "4")):
+        cmds.append(("verify", "--suite", "eigen", "--type", t, "--rank", n))
+    cmds.append(("verify", "--suite", "torus", "--type", "D", "--rank", "4"))
     return cmds
 
 
@@ -218,6 +223,9 @@ GOLDEN: dict[tuple[str, ...], tuple[int, str]] = {
     ('eig', '--type', 'D', '--rank', '4', '--lambda', '1/2,1/2,1/2,1/2', '--ell', '2', '--format', 'text'): (0, '29d055dde49c807a0dac3a7e56654f1be450415e117b9170e102413f93b8da6f'),
     ('eig', '--type', 'D', '--rank', '4', '--lambda', '2,1,1,0', '--ell', '2', '--format', 'json'): (0, 'aea13ab9b5d65279c618efb695dd8cda03298e02ff7aa695566e9255988a47d9'),
     ('eig', '--type', 'D', '--rank', '4', '--lambda', '2,1,1,0', '--ell', '2', '--format', 'text'): (0, '5bbe7700d1125e9bd58dbfc3d810a2219d337b9bed362cdeffa15693ea7c9b30'),
+    ('verify', '--suite', 'eigen', '--type', 'B', '--rank', '3'): (0, 'bac78b68f9105b5183a97f4528f90df0a3f766d36e48beab4c6084cd72d7533f'),
+    ('verify', '--suite', 'eigen', '--type', 'D', '--rank', '4'): (0, '3bec6fe61dfd0b7c327c2a0992a13facd844efe26015e6b7f68a38f1635ba6d4'),
+    ('verify', '--suite', 'torus', '--type', 'D', '--rank', '4'): (0, '4632f4a5672f98f87d4bbc41098ff81972cf51e17a1df53c49a9f23982927d1d'),
 }
 
 
