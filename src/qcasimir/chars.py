@@ -127,9 +127,6 @@ class SignedPerm(_Frozen):
         )
         return SignedPerm(perm, signs)
 
-    def sign_flips(self) -> int:
-        return sum(1 for s in self.signs if s < 0)
-
     def sgn(self) -> int:
         """Determinant of the signed permutation matrix."""
         return _perm_parity(self.perm) * prod(self.signs)

@@ -16,6 +16,7 @@ import random
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 from .casimir import (
     c0_rational_eval,
@@ -575,23 +576,36 @@ def property_cases(seed: int = 0) -> list[dict]:
 
 # -- suite assembly -----------------------------------------------------------
 
-SUITES = (
-    "all",
-    "denominator",
-    "thm44",
-    "thm45",
-    "thm46",
-    "torus",
-    "oracle",
-    "eigen",
-    "jt",
-    "basis",
-    "stability",
-)
+
+def _theorem_cases(systems, run) -> list[dict]:
+    cases = closed_form_cases(systems) + block_identity_cases(systems)
+    return cases + route_cases(systems)
 
 
-# the block suites of the three theorems, one type each
-_THEOREM_TYPES = {"thm44": LieType.B, "thm45": LieType.C, "thm46": LieType.D}
+# One row per suite, in the order ``all`` runs them: the type it covers (None:
+# every type), the options it takes besides --type and --seed, and its cases,
+# a function of the selected systems s and the run's options r.
+_SUITES = {
+    "denominator": (None, ("--rank",), lambda s, r: denominator_cases(s)),
+    "thm44": (LieType.B, ("--rank",), _theorem_cases),
+    "thm45": (LieType.C, ("--rank",), _theorem_cases),
+    "thm46": (LieType.D, ("--rank",), _theorem_cases),
+    "torus": (None, ("--rank",), lambda s, r: hc_cases(s)),
+    "oracle": (None, ("--rank", "--points"), lambda s, r: oracle_cases(s, r.points, r.seed)),
+    "eigen": (None, ("--rank",), lambda s, r: eigen_cases(s, r.seed)),
+    "jt": (None, ("--rank",), lambda s, r: jt_cases(s)),
+    "basis": (None, ("--rank",), lambda s, r: basis_cases(s) + certificate_cases(s)),
+    "stability": (None, ("--max-rank",), lambda s, r: stability_cases(r.max_rank, r.lie)),
+}
+
+SUITES = ("all", *_SUITES)
+
+# the usage error for an option that no selected row takes
+_REFUSALS = {
+    "--points": "--points sets the oracle suite's sample; suite {} ignores it",
+    "--rank": "suite {} compares ranks; bound them with --max-rank, not --rank",
+    "--max-rank": "--max-rank bounds the stability suite; suite {} ignores it",
+}
 
 
 def run_suite(
@@ -602,16 +616,28 @@ def run_suite(
     seed: int = 0,
     max_rank: int | None = None,
 ) -> dict:
-    """Run one named suite and return {suite, seed, cases}.  ``points``
-    (default 20) is the number of exact points per oracle case."""
+    """Run one suite and return {suite, seed, cases}.  ``all`` runs each row
+    that covers ``lie`` and takes ``rank``, then the property cases.  ``points``
+    (default 20) counts the exact points per oracle case."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    if points is None:
-        points = 20
-    elif suite not in ("oracle", "all"):
-        raise ValueError(
-            f"--points sets the oracle suite's sample; suite {suite} ignores it"
-        )
+    if suite == "all":
+        rows = [
+            (t, options, cases)
+            for t, options, cases in _SUITES.values()
+            if (lie in (None, t) or t is None) and (rank is None or "--rank" in options)
+        ]
+    else:
+        rows = [_SUITES[suite]]
+    taken = {option for _, options, _ in rows for option in options}
+
+    def refuse(option: str, value: int | None) -> None:
+        if value is not None and option not in taken:
+            raise ValueError(_REFUSALS[option].format(suite))
+
+    # a command that breaks two rules reports the first in this order
+    refuse("--points", points)
+    points = 20 if points is None else points
     if points < 1:
         raise ValueError(f"points must be >= 1, not {points}")
     if (lie, rank) != (None, None) and not in_scope_systems(lie, rank):
@@ -619,44 +645,17 @@ def run_suite(
             f"no in-scope system has type {lie.value if lie else 'any'} "
             f"and rank {'any' if rank is None else rank}"
         )
-    suite_type = _THEOREM_TYPES.get(suite)
-    if suite_type is not None and lie not in (None, suite_type):
-        raise ValueError(
-            f"suite {suite} covers type {suite_type.value}, not {lie.value}"
-        )
-    if suite == "stability" and rank is not None:
-        raise ValueError(
-            "suite stability compares ranks; bound them with --max-rank, not --rank"
-        )
-    if max_rank is not None and suite not in ("stability", "all"):
-        raise ValueError(
-            f"--max-rank bounds the stability suite; suite {suite} ignores it"
-        )
-    cases: list[dict] = []
-    if suite in ("all", "denominator"):
-        cases.extend(denominator_cases(in_scope_systems(lie, rank)))
-    for name, t in _THEOREM_TYPES.items():
-        if suite == name or (suite == "all" and lie in (None, t)):
-            systems = in_scope_systems(t, rank)
-            cases.extend(closed_form_cases(systems))
-            cases.extend(block_identity_cases(systems))
-            cases.extend(route_cases(systems))
-    if suite in ("all", "torus"):
-        cases.extend(hc_cases(in_scope_systems(lie, rank)))
-    if suite in ("all", "oracle"):
-        cases.extend(oracle_cases(in_scope_systems(lie, rank), points, seed))
-    if suite in ("all", "eigen"):
-        cases.extend(eigen_cases(in_scope_systems(lie, rank), seed=seed))
-    if suite in ("all", "jt"):
-        cases.extend(jt_cases(in_scope_systems(lie, rank)))
-    if suite in ("all", "basis"):
-        systems = in_scope_systems(lie, rank)
-        cases.extend(basis_cases(systems))
-        cases.extend(certificate_cases(systems))
-    if suite == "stability" or (suite == "all" and rank is None):
-        cases.extend(stability_cases(max_rank, lie))
+    for t, _, _ in rows:
+        if lie is not None and t not in (None, lie):
+            raise ValueError(f"suite {suite} covers type {t.value}, not {lie.value}")
+    refuse("--rank", rank)
+    refuse("--max-rank", max_rank)
+    run = SimpleNamespace(points=points, seed=seed, max_rank=max_rank, lie=lie)
+    cases = []
+    for t, _, row_cases in rows:
+        cases += row_cases(in_scope_systems(t or lie, rank), run)
     if suite == "all":
-        cases.extend(property_cases(seed))
+        cases += property_cases(seed)
     if not cases:
         raise ValueError(f"suite {suite} selects no cases with these filters")
     return {"suite": suite, "seed": seed, "cases": cases}

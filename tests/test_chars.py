@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -81,7 +82,8 @@ class TestSignedPerms:
             enumerate_weyl(big)
 
     def test_type_d_parity(self):
-        assert all(w.sign_flips() % 2 == 0 for w in enumerate_weyl(D4))
+        # type D flips an even number of signs
+        assert all(prod(w.signs) == 1 for w in enumerate_weyl(D4))
 
     def test_sgn_identity_and_reflections(self):
         assert SignedPerm.identity(3).sgn() == 1

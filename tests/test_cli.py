@@ -338,10 +338,12 @@ def test_missing_lambda_is_usage_error(capsys, argv):
         (("--suite", "stability", "--max-rank", "1"), "selects no cases"),
         (("--suite", "thm45", "--max-rank", "1"), "--max-rank"),
         (("--suite", "eigen", "--points", "5"), "--points"),
+        (("--suite", "all", "--type", "B", "--rank", "2", "--max-rank", "3"), "--max-rank"),
     ],
     ids=(
         "points-0", "points-neg", "rank-7", "B5", "thm44-rank-5",
         "stability-max-rank-1", "thm45-max-rank-1", "eigen-points",
+        "all-rank-max-rank",
     ),
 )
 def test_verify_selection_without_cases_is_usage_error(capsys, argv, message):

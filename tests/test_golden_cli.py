@@ -111,6 +111,10 @@ def _commands() -> list[tuple[str, ...]]:
     for t, n in (("B", "3"), ("D", "4")):
         cmds.append(("verify", "--suite", "eigen", "--type", t, "--rank", n))
     cmds.append(("verify", "--suite", "torus", "--type", "D", "--rank", "4"))
+    # The all report: its row order, the type filter on the theorem rows,
+    # stability under --type and left out under --rank, properties last.
+    cmds.append(("verify", "--suite", "all", "--type", "B", "--rank", "2", "--points", "1"))
+    cmds.append(("verify", "--suite", "all", "--type", "C", "--points", "1"))
     return cmds
 
 
@@ -226,6 +230,8 @@ GOLDEN: dict[tuple[str, ...], tuple[int, str]] = {
     ('verify', '--suite', 'eigen', '--type', 'B', '--rank', '3'): (0, 'bac78b68f9105b5183a97f4528f90df0a3f766d36e48beab4c6084cd72d7533f'),
     ('verify', '--suite', 'eigen', '--type', 'D', '--rank', '4'): (0, '3bec6fe61dfd0b7c327c2a0992a13facd844efe26015e6b7f68a38f1635ba6d4'),
     ('verify', '--suite', 'torus', '--type', 'D', '--rank', '4'): (0, '4632f4a5672f98f87d4bbc41098ff81972cf51e17a1df53c49a9f23982927d1d'),
+    ('verify', '--suite', 'all', '--type', 'B', '--rank', '2', '--points', '1'): (0, '373d9b7089770a73cdea116fd85328fc03233c14f073cb1d74320c73ba7cc480'),
+    ('verify', '--suite', 'all', '--type', 'C', '--points', '1'): (0, 'a84d8c3f2adf586b79493fe52b48c9f9474338c1f10e1f4c195805e8890dee0e'),
 }
 
 

@@ -1,4 +1,5 @@
-"""The README's "Library tour" runs as written.
+"""The README's "Library tour" runs as written, and its suite list is the
+command line's.
 
 The block is read from README.md and executed in a fresh namespace, so an
 export that is renamed or a call whose signature changes shows here and not
@@ -10,6 +11,8 @@ import io
 import re
 from contextlib import redirect_stdout
 from pathlib import Path
+
+from qcasimir.verify import SUITES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,3 +30,10 @@ def test_library_tour_runs_as_documented():
     with redirect_stdout(buf):
         exec(compile(_library_tour(), str(README), "exec"), {})
     assert buf.getvalue().splitlines() == ["[]", "q^6"]
+
+
+def test_suites_line_names_every_verify_suite():
+    # a suite added to the table must also be named in the README, in order
+    match = re.search(r"^Suites: (.*?)\.\s", README.read_text(), re.S | re.M)
+    assert match, "README has no Suites: line"
+    assert tuple(re.findall(r"`([^`]+)`", match.group(1))) == SUITES
