@@ -108,24 +108,10 @@ class SignedPerm(_Frozen):
             raise ValueError("signs must be a +-1 vector of matching length")
         self._set(perm, signs)
 
-    @staticmethod
-    def identity(n: int) -> "SignedPerm":
-        return SignedPerm(tuple(range(1, n + 1)), (1,) * n)
-
     def apply(self, w: Weight) -> Weight:
         if len(w.dbl) != len(self.perm):
             raise RankMismatch("weight rank differs from permutation rank")
         return Weight(_act_dbl(self.perm, self.signs, w.dbl))
-
-    def compose(self, other: "SignedPerm") -> "SignedPerm":
-        """self after other: (self*other)(v) = self(other(v))."""
-        if len(self.perm) != len(other.perm):
-            raise RankMismatch("ranks differ")
-        perm = tuple(self.perm[p - 1] for p in other.perm)
-        signs = tuple(
-            s * self.signs[p - 1] for p, s in zip(other.perm, other.signs)
-        )
-        return SignedPerm(perm, signs)
 
     def sgn(self) -> int:
         """Determinant of the signed permutation matrix."""
@@ -186,25 +172,6 @@ def simple_reflections(rs: RootSystem) -> tuple[SignedPerm, ...]:
         signs = tuple(1 if w.dbl[j - 1] > 0 else -1 for w, j in zip(images, perm))
         refls.append(SignedPerm(perm, signs))
     return tuple(refls)
-
-
-def coset_representatives(rs: RootSystem) -> list[SignedPerm]:
-    """The 2n left coset representatives of the rank n-1 subgroup fixing
-    eps_1: the identity, the double flip of coordinates 1 and n, and for
-    each 2 <= i <= n the plain and the sign-twisted swap of 1 and i."""
-    n = rs.rank
-    reps = [SignedPerm.identity(n)]
-    flip = [1] * n
-    flip[0] = flip[n - 1] = -1
-    reps.append(SignedPerm(tuple(range(1, n + 1)), tuple(flip)))
-    for i in range(2, n + 1):
-        perm = list(range(1, n + 1))
-        perm[0], perm[i - 1] = i, 1
-        reps.append(SignedPerm(tuple(perm), (1,) * n))
-        signs = [1] * n
-        signs[0] = signs[i - 1] = -1
-        reps.append(SignedPerm(tuple(perm), tuple(signs)))
-    return reps
 
 
 class GAElem(EPoly):

@@ -134,6 +134,13 @@ def power_table(x, top: int) -> list:
     return table
 
 
+def _lane(rank: int, i: int) -> int:
+    """The key position of symbol E_i, 1 <= i <= rank (else IndexError)."""
+    if not 1 <= i <= rank:
+        raise IndexError(f"symbol index {i} out of range 1..{rank}")
+    return i - 1
+
+
 class EPoly:
     """Sparse Laurent polynomial in E_1..E_n and q over the rationals.
 
@@ -185,10 +192,8 @@ class EPoly:
     @classmethod
     def symbol(cls, rank: int, i: int, coeff: QLaurent | None = None) -> "EPoly":
         """The symbol E_i (1-based), times ``coeff`` (default 1)."""
-        if not 1 <= i <= rank:
-            raise IndexError(f"symbol index {i} out of range 1..{rank}")
         exps = [0] * rank
-        exps[i - 1] = 1
+        exps[_lane(rank, i)] = 1
         return cls(rank, {tuple(exps): QL_ONE if coeff is None else coeff})
 
     # -- ring structure ---------------------------------------------------
@@ -296,20 +301,22 @@ class EPoly:
         return {m: QLaurent._flat(0, d) for m, d in groups.items()}
 
     def coeff(self, exps: tuple) -> QLaurent:
+        if len(exps) != self.rank:
+            raise RankMismatch(f"key {exps} for rank {self.rank}")
         return self._per_weight().get(tuple(exps), QL_ZERO)
 
     def max_degree(self, i: int) -> int:
         """Largest exponent of symbol E_i (1-based); 0 for the zero poly."""
-        if not self.terms:
-            return 0
-        return max(m[i - 1] for m in self.terms)
+        j = _lane(self.rank, i)
+        return max((m[j] for m in self.terms), default=0)
 
     def uses_symbol(self, i: int) -> bool:
-        return any(m[i - 1] for m in self.terms)
+        j = _lane(self.rank, i)
+        return any(m[j] for m in self.terms)
 
     def partial(self, i: int) -> "EPoly":
         """Formal partial derivative with respect to E_i (1-based)."""
-        j = i - 1
+        j = _lane(self.rank, i)
         return self._like(
             {
                 m[:j] + (m[j] - 1,) + m[i:]: _norm_coeff(c * m[j])

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from typing import Sequence
 
 
@@ -228,10 +228,12 @@ class RootSystem(_Frozen):
     """The root data of one (type, rank).  :func:`build_root_system` makes
     exactly one instance per (type, rank), so a system compares and hashes
     by identity, and per-system tables are cached with it as their key.
-    No ``__slots__``: cached_property keeps its values in ``__dict__``."""
+    ``spin_indices``: each r whose fundamental weight is off the integral
+    lattice, (n) in type B, () in type C, (n-1, n) in type D."""
 
     _fields = ("lie_type", "rank", "positive_roots", "simple_roots", "rho",
                "fundamental_weights", "c_n", "kappa_n", "dim_natural", "iprime")
+    __slots__ = _fields + ("spin_indices",)
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -242,13 +244,9 @@ class RootSystem(_Frozen):
         # iprime: the natural weights eps_a; 0 when eps_1 is a root (B)
         self._set(lie_type, rank, positive_roots, simple_roots, rho,
                   fundamental_weights, c_n, kappa_n, dim_natural, iprime)
-
-    @cached_property
-    def spin_indices(self) -> tuple[int, ...]:
-        """Each r whose fundamental weight is off the integral lattice:
-        (n) in type B, () in type C, (n-1, n) in type D."""
-        fws = self.fundamental_weights
-        return tuple(r for r, w in enumerate(fws, 1) if not w.is_integral())
+        fws = enumerate(fundamental_weights, 1)
+        spin = tuple(r for r, w in fws if not w.is_integral())
+        object.__setattr__(self, "spin_indices", spin)
 
     def fundamental_weight(self, i: int) -> Weight:
         if not 1 <= i <= self.rank:

@@ -39,7 +39,6 @@ from .chars import (
     GAElem,
     alternant,
     antisymmetrize,
-    coset_representatives,
     enumerate_weyl,
     is_w_invariant,
     straighten,
@@ -539,22 +538,20 @@ def property_cases(seed: int = 0) -> list[dict]:
             ok_vanish = False
     out.append(_case("props-alternant-vanishes-on-walls", ok_vanish))
 
-    # coset decomposition tiles the group (types B and D)
+    # the cosets of eps_1's stabilizer tile the group (types B and D): equal
+    # fibres over the images of eps_1, one per eps_a with 0 != a in I'
     for lie, n in ((LieType.B, 3), (LieType.D, 4)):
         rsn = build_root_system(lie, n)
-        reps = coset_representatives(rsn)
-        sub = [
-            w
-            for w in enumerate_weyl(rsn)
-            if w.perm[0] == 1 and w.signs[0] == 1
-        ]
-        seen = set()
-        for sigma in reps:
-            for u in sub:
-                seen.add(sigma.compose(u))
-        ok_tile = len(seen) == len(enumerate_weyl(rsn)) and len(reps) * len(
-            sub
-        ) == len(seen)
+        group = enumerate_weyl(rsn)
+        fibres: dict[Weight, list] = {}
+        for w in group:
+            fibres.setdefault(w.apply(eps(n, 1)), []).append(w)
+        stab = [w for w in group if w.perm[0] == 1 and w.signs[0] == 1]
+        ok_tile = (
+            set(fibres) == {eps(n, a) for a in rsn.iprime if a}
+            and fibres.get(eps(n, 1)) == stab
+            and all(len(f) == len(stab) for f in fibres.values())
+        )
         out.append(_case(f"props-coset-tiling-{lie.value}{n}", ok_tile))
 
     # cleared-denominator unit identity behind the rational forms

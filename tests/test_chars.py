@@ -17,7 +17,6 @@ from qcasimir.chars import (
     alternant,
     antisymmetrize,
     character_sum,
-    coset_representatives,
     divide_by_denominator,
     dominant_multiplicities,
     enumerate_weyl,
@@ -41,12 +40,14 @@ from qcasimir.roots import (
     LieType,
     NotDominant,
     NotOnWeightLattice,
+    RootSystem,
     Weight,
     build_root_system,
     eps,
     pairing,
     weyl_dimension,
 )
+from qcasimir import verify
 from qcasimir.verify import in_scope_systems
 
 B2 = build_root_system(LieType.B, 2)
@@ -70,6 +71,15 @@ def rand_ga(rank, rng, nterms=4, spread=3):
     )
 
 
+def _compose(a: SignedPerm, b: SignedPerm) -> SignedPerm:
+    """a after b, read off the images a(b(eps_i)) = +-eps_j of the basis."""
+    n = len(a.perm)
+    images = [a.apply(b.apply(eps(n, i))).dbl for i in range(1, n + 1)]
+    perm = tuple(next(j for j, d in enumerate(im, 1) if d) for im in images)
+    signs = tuple(1 if im[j - 1] > 0 else -1 for im, j in zip(images, perm))
+    return SignedPerm(perm, signs)
+
+
 class TestSignedPerms:
     def test_enumeration_counts(self):
         assert len(enumerate_weyl(B2)) == 8
@@ -86,7 +96,7 @@ class TestSignedPerms:
         assert all(prod(w.signs) == 1 for w in enumerate_weyl(D4))
 
     def test_sgn_identity_and_reflections(self):
-        assert SignedPerm.identity(3).sgn() == 1
+        assert SignedPerm((1, 2, 3), (1, 1, 1)).sgn() == 1
         for rs in (B2, C3, D4):
             for s in simple_reflections(rs):
                 assert s.sgn() == -1
@@ -130,14 +140,14 @@ class TestSignedPerms:
         group = enumerate_weyl(B2)
         for _ in range(20):
             a, b = rng.choice(group), rng.choice(group)
-            assert a.compose(b).sgn() == a.sgn() * b.sgn()
+            assert _compose(a, b).sgn() == a.sgn() * b.sgn()
 
     def test_group_closure(self):
         group = set(enumerate_weyl(D4))
         rng = random.Random(6)
         for _ in range(30):
             a, b = rng.choice(list(group)), rng.choice(list(group))
-            assert a.compose(b) in group
+            assert _compose(a, b) in group
 
     def test_action_on_weights(self):
         s12 = simple_reflections(B2)[0]  # eps_1 - eps_2
@@ -160,7 +170,7 @@ class TestAction:
     def test_identity_action(self):
         rng = random.Random(1)
         x = rand_ga(2, rng)
-        assert x.act(SignedPerm.identity(2)) == x
+        assert x.act(SignedPerm((1, 2), (1, 1))) == x
 
     def test_simple_reflection_on_exponential(self):
         s12 = simple_reflections(B2)[0]
@@ -848,18 +858,53 @@ class TestEvaluation:
 
 class TestCosetDecomposition:
     @pytest.mark.parametrize("rs", [B2, B3, D4], ids=lambda r: f"{r.lie_type.value}{r.rank}")
-    def test_representatives_tile_the_group(self, rs):
-        reps = coset_representatives(rs)
-        assert len(reps) == 2 * rs.rank
-        subgroup = [
-            w for w in enumerate_weyl(rs) if w.perm[0] == 1 and w.signs[0] == 1
-        ]
-        products = set()
-        for sigma in reps:
-            for u in subgroup:
-                products.add(sigma.compose(u))
-        assert len(products) == len(reps) * len(subgroup)
-        assert products == set(enumerate_weyl(rs))
+    def test_fibres_are_the_cosets_of_the_stabilizer(self, rs):
+        n = rs.rank
+        group = enumerate_weyl(rs)
+        fibres = {}
+        for w in group:
+            fibres.setdefault(w.apply(eps(n, 1)), []).append(w)
+        stab = [w for w in group if w.perm[0] == 1 and w.signs[0] == 1]
+        # one fibre per eps_a, a in I', a != 0: the orbit of eps_1 is +-eps_i
+        assert set(fibres) == {eps(n, a) for a in rs.iprime if a}
+        assert set(fibres) == {eps(n, a) for a in range(-n, n + 1) if a}
+        assert fibres[eps(n, 1)] == stab
+        assert all(len(f) == len(stab) for f in fibres.values())
+        assert 2 * n * len(stab) == len(group)
+        # each fibre is the left coset w * stab of any of its elements
+        for f in fibres.values():
+            assert {_compose(f[0], u) for u in stab} == set(f)
+
+
+def test_tiling_cases_fail_on_a_short_group_or_a_short_iprime(monkeypatch):
+    """props-coset-tiling-{B3,D4} pass as built, and fail when the group
+    loses one element (the identity, inside the stabilizer, or the last
+    element, outside it) or when I' loses the natural weight eps_{-n}."""
+
+    def tiling():
+        cases = verify.property_cases()
+        return {c["id"]: c["status"] for c in cases if "coset-tiling" in c["id"]}
+
+    ids = ("props-coset-tiling-B3", "props-coset-tiling-D4")
+    assert tiling() == dict.fromkeys(ids, "pass")
+    whole = verify.enumerate_weyl
+    for short in (lambda g: g[1:], lambda g: g[:-1]):
+        with monkeypatch.context() as m:
+            m.setattr(verify, "enumerate_weyl", lambda rs: short(whole(rs)))
+            assert tiling() == dict.fromkeys(ids, "fail")
+
+    built = verify.build_root_system
+
+    def short_iprime(lie, n):
+        rs = built(lie, n)
+        iprime = tuple(a for a in rs.iprime if a != -n)
+        return RootSystem(
+            rs.lie_type, rs.rank, rs.positive_roots, rs.simple_roots, rs.rho,
+            rs.fundamental_weights, rs.c_n, rs.kappa_n, len(iprime), iprime,
+        )
+
+    monkeypatch.setattr(verify, "build_root_system", short_iprime)
+    assert tiling() == dict.fromkeys(ids, "fail")
 
 
 def test_cleared_denominator_identity_single_variable():

@@ -11,6 +11,7 @@ from qcasimir.exact import (
     EPoly,
     NotDivisible,
     QLaurent,
+    RankMismatch,
     ZeroBase,
     det_bareiss,
     det_cofactor,
@@ -134,6 +135,38 @@ class TestEPoly:
         p = EPoly(2, {(2, 1): ONE})
         assert p.partial(1) == EPoly(2, {(1, 1): QLaurent({0: 2})})
         assert p.partial(2) == EPoly(2, {(2, 0): ONE})
+
+    # q^2 E_1 + E_2: the q lane sits right after the symbol lanes, so an
+    # index outside 1..rank must be refused, not read as (or wrap to) a lane
+    Q2E1_PLUS_E2 = EPoly.symbol(2, 1, Q(2)) + EPoly.symbol(2, 2)
+
+    def test_max_degree_refuses_an_index_outside_the_rank(self):
+        p = self.Q2E1_PLUS_E2
+        assert (p.max_degree(1), p.max_degree(2)) == (1, 1)
+        for i in (0, 3):
+            with pytest.raises(IndexError, match="out of range 1..2"):
+                p.max_degree(i)
+
+    def test_uses_symbol_refuses_an_index_outside_the_rank(self):
+        p = EPoly.symbol(2, 1, Q(2))
+        assert p.uses_symbol(1) and not p.uses_symbol(2)
+        for i in (-1, 0, 3):
+            with pytest.raises(IndexError, match="out of range 1..2"):
+                p.uses_symbol(i)
+
+    def test_partial_refuses_an_index_outside_the_rank(self):
+        p = self.Q2E1_PLUS_E2
+        assert p.partial(2) == EPoly.one(2)
+        for i in (0, 3):
+            with pytest.raises(IndexError, match="out of range 1..2"):
+                p.partial(i)
+
+    def test_coeff_refuses_a_key_of_another_rank(self):
+        p = self.Q2E1_PLUS_E2
+        assert p.coeff((1, 0)) == Q(2) and p.coeff([0, 1]) == ONE
+        for key in ((1,), (1, 0, 8)):
+            with pytest.raises(RankMismatch):
+                p.coeff(key)
 
     def test_div_exact(self):
         a = EPoly.symbol(2, 1) + EPoly.symbol(2, 2)
