@@ -134,9 +134,11 @@ def jt_character(rs: RootSystem, parts, target: str = "ga"):
 
 def hook_matrix_printed(rs: RootSystem, k: int, r: int) -> list[list]:
     """The (k-r) x (k-r) upper-Hessenberg matrix attached to the hook
-    (k-r, 1^r): first row e_{r+j} +- e_{r-+j...}, unit subdiagonal, e_1 on
-    the remaining diagonal.  Its plain determinant equals the halved general
-    determinant in types B/D, and the general one in type C."""
+    (k-r, 1^r).  Row 1 is e_{r+j} - e_{r-j} in type C; in types B/D it is
+    e_{r+1}, then e_{r+j} + e_{r+2-j} for j >= 2.  Row i >= 2 is e_{j-i+1}:
+    a unit subdiagonal and e_1 on the diagonal.  Its plain determinant equals
+    the halved general determinant in types B/D, and the general one in
+    type C."""
     if not (k - r >= 1 and 0 <= r <= rs.rank - 1):
         raise IndexOutOfRange("need k-r >= 1 and 0 <= r <= n-1")
     plus = rs.lie_type in (LieType.B, LieType.D)
@@ -168,23 +170,16 @@ def g_in_e_basis(rs: RootSystem, k: int) -> EPoly:
     """The k-th block character written in the folded symbols E_1..E_n.
 
     Valid for 1 <= k <= n.  Each entry of ``casimir.hook_terms`` contributes
-    the determinantal expansion of its hook character; in type D at k = n the
-    barred and unbarred hooks of column n-1 merge into the single symbol E_n
-    (their characters sum to the n-th exterior power), mirroring the way the
-    change of basis is proved.
+    the determinantal expansion of its first hook.  In type D at k = n that
+    hook is the column (1^n), whose determinant is the O(2n) character, the
+    sum of the entry's two hook characters: the symbol E_n.
     """
     n = rs.rank
     if not 1 <= k <= n:
         raise IndexOutOfRange(f"k must lie in 1..{n}")
     total = EPoly.zero(n)
     for sign, qexp, weights in hook_terms(rs, k):
-        if not weights:
-            term = EPoly.one(n)
-        elif len(weights) == 2:
-            # chi(hook) + chi(barred hook) is exactly the n-th exterior power
-            term = EPoly.symbol(n, n)
-        else:
-            term = jt_character(rs, weights[0].coords, target="e")
+        term = jt_character(rs, weights[0].coords if weights else (), target="e")
         total = total + term.scale(QLaurent.monomial(qexp, sign))
     return total
 
@@ -253,12 +248,15 @@ def round_trip_ok(
 def solution_ok_in_characters(
     rs: RootSystem, sol: tuple[tuple[EPoly, QLaurent], ...], k: int
 ) -> bool:
-    """The same identity with every symbol bound to its actual character:
-    num(g_1..g_n) = den * e_k in the group algebra."""
-    n = rs.rank
-    gs = [ch_g_via_antisym(rs, j).body for j in range(1, n + 1)]
-    num, den = sol[k - 1]
-    return num.substitute(gs, GAElem.one(n)) == ext_power_char(rs, k).scale(den)
+    """num(g_1..g_k) = den * e_k in the group algebra: the image of the round
+    trip under the ring map E_r -> e_r, once that map sends each E-basis
+    block g_j (j <= k) to the antisymmetrizer route's block."""
+    exts = [ext_power_char(rs, r) for r in range(1, rs.rank + 1)]
+    return round_trip_ok(rs, sol, k) and all(
+        g_in_e_basis(rs, j).substitute(exts, GAElem.one(rs.rank))
+        == ch_g_via_antisym(rs, j).body
+        for j in range(1, k + 1)
+    )
 
 
 def generation_certificate(rs: RootSystem) -> dict:

@@ -385,7 +385,7 @@ def jt_cases(systems) -> list[dict]:
 
 def basis_cases(systems) -> list[dict]:
     """Triangular change of basis: solve through n minus the number of spin
-    indices (n for C, n-1 for B, n-2 for D, plus the type D k=n fold), exact
+    indices (n for C, n-1 for B, n-2 for D, plus k = n in type D), exact
     round trips of the solved (num, den) pairs, the leading pair of every
     solution against the printed b_k (the G_k coefficient of num_k times b_k
     is den_k, so c_k = 1/b_k is nonzero), and the whole first pair,

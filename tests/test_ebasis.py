@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qcasimir.casimir import ch_g_via_hooks
+from qcasimir.casimir import ch_g_via_antisym, ch_g_via_hooks
 from qcasimir.chars import GAElem, ext_power_char, weyl_character
 from qcasimir.ebasis import (
     CertificateFailed,
@@ -305,7 +305,9 @@ def test_solve_matches_literal_solve(rs):
 
 
 @pytest.mark.parametrize(
-    "lie, n", [(LieType.B, 5), (LieType.C, 5)], ids=["B5", "C5"]
+    "lie, n",
+    [(LieType.B, 5), (LieType.C, 5), (LieType.B, 6), (LieType.C, 6), (LieType.D, 6)],
+    ids=["B5", "C5", "B6", "C6", "D6"],
 )
 def test_certificate_past_rank_four(lie, n):
     """Systems outside the verify scope: every identity of the certificate
@@ -339,6 +341,95 @@ def test_mutated_pairs_rejected(rs):
             bad = sol[: k - 1] + (pair,) + sol[k:]
             assert not round_trip_ok(rs, bad, k), (k, what)
             assert not solution_ok_in_characters(rs, bad, k), (k, what)
+
+
+def literal_solution_ok_in_characters(rs, sol, k):
+    """The character identity formed literally, the reference for
+    ``solution_ok_in_characters``: the solved numerator is substituted into
+    the antisymmetrizer route's expanded blocks."""
+    n = rs.rank
+    gs = [ch_g_via_antisym(rs, j).body for j in range(1, n + 1)]
+    num, den = sol[k - 1]
+    return num.substitute(gs, GAElem.one(n)) == ext_power_char(rs, k).scale(den)
+
+
+@pytest.mark.parametrize("rs", SMALL, ids=lambda r: f"{r.lie_type.value}{r.rank}")
+def test_character_check_matches_literal_check(rs):
+    sol = triangular_solve(rs)
+    for k in range(1, rs.rank + 1):
+        assert literal_solution_ok_in_characters(rs, sol, k), k
+        assert solution_ok_in_characters(rs, sol, k), k
+
+
+@pytest.mark.parametrize(
+    "rs", (B3, C3, D4), ids=lambda r: f"{r.lie_type.value}{r.rank}"
+)
+def test_mutated_pairs_agree_with_literal_check(rs):
+    """Every mutation of ``test_mutated_pairs_rejected`` gets the same
+    verdict from the character check and from its literal reference."""
+    sol = triangular_solve(rs)
+    for k in (1, 2):
+        for what, pair in _mutations(*sol[k - 1]):
+            bad = sol[: k - 1] + (pair,) + sol[k:]
+            literal = literal_solution_ok_in_characters(rs, bad, k)
+            assert solution_ok_in_characters(rs, bad, k) == literal, (k, what)
+
+
+class TestTriangularButWrongBlock:
+    """Block 2 written as g_2 + E_1 keeps the triangular shape, so the solve
+    and its round trip in the symbols accept it; only the check against the
+    characters fails."""
+
+    @pytest.fixture(autouse=True)
+    def broken(self, monkeypatch):
+        def g_broken(rs, k):
+            g = g_in_e_basis(rs, k)
+            return g + EPoly.symbol(rs.rank, 1) if k == 2 else g
+
+        triangular_solve.cache_clear()
+        monkeypatch.setattr("qcasimir.ebasis.g_in_e_basis", g_broken)
+        yield
+        triangular_solve.cache_clear()
+
+    @pytest.mark.parametrize(
+        "rs", (B3, C3, D4), ids=lambda r: f"{r.lie_type.value}{r.rank}"
+    )
+    def test_only_the_character_check_fails(self, rs):
+        sol = triangular_solve(rs)
+        assert round_trip_ok(rs, sol, 2)
+        assert not solution_ok_in_characters(rs, sol, 2)
+        assert not literal_solution_ok_in_characters(rs, sol, 2)
+
+    def test_certificate_case_names_the_identity(self):
+        [case] = certificate_cases([C3])
+        assert case["status"] == "fail"
+        assert case["detail"] == "C3: characters-E2"
+
+
+def test_certificate_substitutes_only_blocks_into_characters(monkeypatch):
+    """The certificate binds symbols to group-algebra characters only in the
+    E-basis blocks g_j, never in a solved numerator."""
+    blocks = [g_in_e_basis(C3, j) for j in range(1, C3.rank + 1)]
+    seen = []
+    original = EPoly.substitute
+
+    def watched(self, values, one):
+        if isinstance(one, GAElem):
+            seen.append(self)
+            assert any(self == g for g in blocks), "substituted a non-block"
+        return original(self, values, one)
+
+    monkeypatch.setattr(EPoly, "substitute", watched)
+    generation_certificate(C3)
+    assert seen
+
+
+@pytest.mark.parametrize("n", (4, 5, 6, 7))
+def test_type_d_full_column_is_the_last_symbol(n):
+    # the determinant of (1^n) is chi(1^n) plus its mirror's character, the
+    # n-th exterior power: the symbol E_n, as g_in_e_basis reads it
+    rs = build_root_system(LieType.D, n)
+    assert jt_character(rs, (1,) * n, target="e") == EPoly.symbol(n, n)
 
 
 def _wrong_leading(rs, k, g):

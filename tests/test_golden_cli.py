@@ -115,6 +115,11 @@ def _commands() -> list[tuple[str, ...]]:
     # stability under --type and left out under --rank, properties last.
     cmds.append(("verify", "--suite", "all", "--type", "B", "--rank", "2", "--points", "1"))
     cmds.append(("verify", "--suite", "all", "--type", "C", "--points", "1"))
+    # The change of basis and its certificate past the smallest systems,
+    # and type D's k = n column.
+    for t, n in (("C", "4"), ("D", "5")):
+        cmds.append(("solve-basis", "--type", t, "--rank", n, "--format", "json"))
+    cmds.append(("verify", "--suite", "basis", "--type", "D", "--rank", "5"))
     return cmds
 
 
@@ -232,6 +237,9 @@ GOLDEN: dict[tuple[str, ...], tuple[int, str]] = {
     ('verify', '--suite', 'torus', '--type', 'D', '--rank', '4'): (0, '4632f4a5672f98f87d4bbc41098ff81972cf51e17a1df53c49a9f23982927d1d'),
     ('verify', '--suite', 'all', '--type', 'B', '--rank', '2', '--points', '1'): (0, '373d9b7089770a73cdea116fd85328fc03233c14f073cb1d74320c73ba7cc480'),
     ('verify', '--suite', 'all', '--type', 'C', '--points', '1'): (0, 'a84d8c3f2adf586b79493fe52b48c9f9474338c1f10e1f4c195805e8890dee0e'),
+    ('solve-basis', '--type', 'C', '--rank', '4', '--format', 'json'): (0, 'adf5aa619660edeaed80f03c70c59ee93de59b796fd9db8b70a975d3fb38479a'),
+    ('solve-basis', '--type', 'D', '--rank', '5', '--format', 'json'): (0, '2336492e7167d85b5c89efd9780d2c7408ea93952b394b9a2b226c1e8467ed22'),
+    ('verify', '--suite', 'basis', '--type', 'D', '--rank', '5'): (0, '36575969cfbe3a81047dffa017a6bd48091c810e82968a2509e1b4297e083208'),
 }
 
 
