@@ -21,6 +21,14 @@ strictly dominant weight, so expanding the straightened coefficients back
 over the group (:func:`antisymmetrize`, :func:`alternant`) stores each image
 once and adds no coefficients.
 
+The same two steps multiply an alternating element X by an invariant one Y
+(Weyl's trick): with X~ the part of X on strictly dominant weights, X = A(X~)
+and X * Y = A(X~ * Y), so the product pairs Y with X~, |W| times fewer terms
+than X.  ``GAElem.__mul__`` takes this path when both premises hold exactly,
+under the group of B_n or else that of D_n, and EPoly's pair loop for every
+other product; the literal Delta * G of criterion 2 is the pair loop's, in
+the tests.
+
 Characters (:func:`weyl_character`) divide nothing: Freudenthal's formula
 gives the multiplicity of every dominant weight below the highest weight,
 in integers, and each multiplicity is written onto the distinct images of
@@ -55,8 +63,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
-from math import prod
-from operator import add, itemgetter, mul, sub
+from math import factorial, prod
+from operator import add, gt, itemgetter, mul, sub
 from typing import Sequence
 
 from .exact import (
@@ -72,10 +80,12 @@ from .exact import (
     _norm_coeff,
 )
 from .roots import (
+    MIN_RANK,
     LieType,
     RootSystem,
     Weight,
     _Frozen,
+    build_root_system,
     eps,
     pairing,
 )
@@ -187,9 +197,27 @@ class GAElem(EPoly):
     __slots__ = ()
     _json_key = "weight"
 
-    # in this class body because perfbench/tracing.py wraps them through
-    # vars(GAElem), as layers apart from EPoly's
-    __mul__ = EPoly.__mul__
+    def __mul__(self, other):
+        """The product; Weyl's trick when one factor X is W-alternating and
+        the other, Y, W-invariant.
+
+        Then X = A(X~) for X~ its part on strictly dominant weights, and
+        X * Y = A(X~ * Y), as w(X~) * Y = w(X~ * Y) for every w: the pair
+        loop runs over X~, |W| times smaller than X, and :func:`straighten`
+        and the orbit expansion give A.  W is the group of B_n (every signed
+        permutation, so types B and C) when both factors satisfy it, else
+        that of D_n (rank >= 4); both premises are checked exactly
+        (:func:`_weyl_product`), from rank 3 to the orbit table's limit.  Every other product, a scalar factor, and
+        the errors of mixed classes or ranks are EPoly's.
+        """
+        if type(other) is type(self) and other.rank == self.rank:
+            fast = _weyl_product(self, other)
+            if fast is not None:
+                return fast
+        return _pair_loop(self, other)
+
+    # in this class body because perfbench/tracing.py wraps it through
+    # vars(GAElem), as a layer apart from EPoly's
     div_exact = EPoly.div_exact
 
     @staticmethod
@@ -387,6 +415,80 @@ def _orbit_expand(chamber: GAElem, rs: RootSystem) -> GAElem:
         for gather, sign in getters:
             res[gather(ext) + e] = c if sign > 0 else -c
     return chamber._like(res)
+
+
+# EPoly's packed pair loop, bound here once: GAElem products call it by this
+# name, so that a wrapper on EPoly.__mul__ (perfbench/tracing.py) counts only
+# the products of EPolys
+_pair_loop = EPoly.__mul__
+
+
+def _swap_12(key: tuple) -> tuple:
+    # s_(eps_1 - eps_2) on a flat key: in the groups of B_n and D_n alike
+    return (key[1], key[0]) + key[2:]
+
+
+def _flip_last(key: tuple) -> tuple:
+    # s_(eps_n) on a flat key (the q lane is last): in B_n's group, not D_n's
+    return key[:-2] + (-key[-2], key[-1])
+
+
+def _first_terms_allow(x: GAElem, y: GAElem, image) -> bool:
+    """Whether s(x) = -x and s(y) = y hold on the first term of each, for
+    the reflection s that ``image`` applies to keys: an O(1) test that every
+    alternating x and invariant y pass."""
+    (kx, cx), (ky, cy) = next(iter(x.terms.items())), next(iter(y.terms.items()))
+    return x.terms.get(image(kx)) == -cx and y.terms.get(image(ky)) == cy
+
+
+def _chamber_part(x: GAElem, rs: RootSystem) -> GAElem:
+    """x's terms on strictly dominant weights, (mu, alpha) > 0 for every
+    simple root: mu_1 > ... > mu_n > 0 in types B and C, and mu_1 > ... >
+    mu_(n-1) > |mu_n| in type D (each key compared with its successors)."""
+    if rs.lie_type is LieType.D:
+        def below(k):
+            return k[1:-2] + (abs(k[-2]),)
+    else:
+        def below(k):
+            return k[1:-1] + (0,)
+    return x._like({k: c for k, c in x.terms.items() if all(map(gt, k, below(k)))})
+
+
+def _weyl_product(x: GAElem, y: GAElem) -> GAElem | None:
+    """x * y as A(X~ * Y) when one factor X is alternating and the other Y
+    invariant under one Weyl group, else None.
+
+    Most other products are rejected in O(1): a nonzero alternating X holds
+    whole regular orbits, so at least |W| terms for the smaller group (D_n's
+    from rank 4, else B_n's), and the first terms must pass
+    s_(eps_1 - eps_2), which lies in both groups (s_(eps_n) only in B_n's).
+    Then, for B_n's group and else D_n's, X alternating is X = A(X~) with
+    X~ = :func:`_chamber_part` (an alternating element vanishes on the walls
+    and is sgn(w) c_nu at w nu), and Y invariant is :func:`is_w_invariant`,
+    both exact.
+    """
+    n = x.rank
+    # from rank 3, |W| >= 48; in B2 (|W| = 8) the pair loop's 8 pairs per
+    # term of Y cost less than checking and straightening Y
+    if not 3 <= n <= _ENUM_RANK_LIMIT:
+        return None
+    least = factorial(n) << (n - (n >= MIN_RANK[LieType.D]))
+    for x, y in ((x, y), (y, x)):
+        if len(x.terms) >= least and y.terms and _first_terms_allow(x, y, _swap_12):
+            break
+    else:
+        return None
+    groups = [LieType.B] if _first_terms_allow(x, y, _flip_last) else []
+    if n >= MIN_RANK[LieType.D]:
+        groups.append(LieType.D)
+    for lie in groups:
+        rs = build_root_system(lie, n)
+        part = _chamber_part(x, rs)
+        if _orbit_expand(part, rs) == x and is_w_invariant(y, rs):
+            # antisymmetrize's body, not the function: perfbench/tracing.py
+            # times antisymmetrize as a layer of its own
+            return _orbit_expand(straighten(_pair_loop(part, y), rs), rs)
+    return None
 
 
 def antisymmetrize(x: GAElem, rs: RootSystem) -> GAElem:

@@ -58,7 +58,7 @@ from qcasimir.verify import (
     in_scope_systems,
     sample_dominant_weight,
 )
-from test_chars import literal_antisymmetrize
+from test_chars import literal_antisymmetrize, literal_product
 
 B2 = build_root_system(LieType.B, 2)
 B3 = build_root_system(LieType.B, 3)
@@ -215,7 +215,7 @@ class TestChamberRoute:
             # the block, and two W-invariant blocks that are wrong
             chamber = chamber_form(rs, k)
             for cand in (g, g + chi.scale(Q(1)), g.scale(Q(1))):
-                holds = delta * cand == rhs
+                holds = literal_product(delta, cand) == rhs
                 assert (chamber_failure(rs, cand, chamber) == "") == holds, k
             assert chamber_failure(rs, g, chamber) == ""
 
@@ -227,7 +227,7 @@ class TestChamberRoute:
         g = ch_g_via_hooks(rs, k).body + GAElem.exponential(-rs.rho)
         assert not is_w_invariant(g, rs)
         assert straighten(g.shift(rs.rho), rs) == chamber_form(rs, k)
-        assert weyl_denominator(rs) * g != literal_rhs(rs, k)
+        assert literal_product(weyl_denominator(rs), g) != literal_rhs(rs, k)
         assert chamber_failure(rs, g, chamber_form(rs, k)) == "block is not W-invariant"
 
 

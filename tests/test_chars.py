@@ -6,6 +6,7 @@ from math import prod
 
 import pytest
 
+from qcasimir import chars
 from qcasimir.chars import (
     GAElem,
     GridMismatch,
@@ -54,6 +55,7 @@ B2 = build_root_system(LieType.B, 2)
 B3 = build_root_system(LieType.B, 3)
 C3 = build_root_system(LieType.C, 3)
 D4 = build_root_system(LieType.D, 4)
+B4 = build_root_system(LieType.B, 4)
 
 Q = QLaurent.q_power
 ONE = QLaurent.one()
@@ -231,6 +233,12 @@ def literal_antisymmetrize(x, rs):
     for w in enumerate_weyl(rs):
         total = total + x.act(w).scale(QLaurent({0: w.sgn()}))
     return total
+
+
+def literal_product(x, y):
+    """x * y by EPoly's pair loop over every pair of terms, never by Weyl's
+    trick: the literal product that GAElem's fast path must equal."""
+    return EPoly.__mul__(x, y)
 
 
 def _rand_key(rs, rng, kind):
@@ -784,6 +792,132 @@ class TestCharacterSum:
             g = character_sum(c, rs)
             assert is_w_invariant(g, rs)
             assert straighten(g.shift(rs.rho), rs) == c
+
+
+@pytest.fixture
+def pair_loop_calls(monkeypatch):
+    """The operand pairs of every GAElem product handed to EPoly's pair
+    loop, Weyl's trick's own product of X~ and Y included."""
+    calls = []
+    loop = chars._pair_loop
+
+    def counted(x, y):
+        calls.append((x, y))
+        return loop(x, y)
+
+    monkeypatch.setattr(chars, "_pair_loop", counted)
+    return calls
+
+
+def _handed(calls, x) -> bool:
+    return any(x == a or x == b for a, b in calls)
+
+
+def _system_id(rs):
+    return f"{rs.lie_type.value}{rs.rank}"
+
+
+def _taken(rs) -> bool:
+    # Weyl's trick runs from rank 3 on
+    return rs.rank >= 3
+
+
+class TestWeylProduct:
+    """Alternating times invariant by Weyl's trick, X * Y = A(X~ * Y),
+    against the pair loop, in both operand orders; an operand that misses
+    either premise falls back to the pair loop, and so does every product
+    in B2, where the pair loop is cheaper ("taken" says which path ran)."""
+
+    @staticmethod
+    def _agrees(x, y):
+        expected = literal_product(x, y)
+        assert x * y == expected
+        assert y * x == expected
+
+    @pytest.mark.parametrize("rs", [B2, B3, C3, D4], ids=_system_id)
+    def test_denominator_times_characters(self, rs, pair_loop_calls):
+        delta = weyl_denominator(rs)
+        for lam in _dominant_grid(rs, 2)[:8]:
+            self._agrees(delta, weyl_character(rs, lam))
+        assert pair_loop_calls and _handed(pair_loop_calls, delta) is not _taken(rs)
+
+    @pytest.mark.parametrize("rs", [B2, B3, C3, D4], ids=_system_id)
+    def test_denominator_times_q_dependent_blocks(self, rs, pair_loop_calls):
+        delta = weyl_denominator(rs)
+        for k in range(rs.rank + 3):
+            body = ch_g_via_hooks(rs, k).body
+            self._agrees(delta, body)
+        assert not ch_g_via_hooks(rs, 2).body.is_constant_in_q()
+        assert _handed(pair_loop_calls, delta) is not _taken(rs)
+
+    @pytest.mark.parametrize("rs", [B2, B3, C3, D4], ids=_system_id)
+    def test_q_dependent_alternating_times_q_dependent_invariant(self, rs, pair_loop_calls):
+        rng = random.Random(f"weyl-product-{rs.lie_type.value}{rs.rank}")
+        for _ in range(2):
+            alt = antisymmetrize(_rand_chamber(rs, rng, nterms=1), rs)
+            inv = character_sum(_rand_chamber(rs, rng, nterms=1), rs)
+            assert not alt.is_constant_in_q() and not inv.is_constant_in_q()
+            self._agrees(alt, inv)
+            assert _handed(pair_loop_calls, alt) is not _taken(rs)
+
+    def test_half_spin_character_takes_the_group_of_d(self, pair_loop_calls):
+        # Delta_B4 is alternating under both groups, a half-spin character
+        # of D4 invariant only under D4's: the product runs in D4's group
+        delta = weyl_denominator(B4)
+        for r in (3, 4):
+            spin = weyl_character(D4, D4.fundamental_weight(r))
+            assert not is_w_invariant(spin, B4) and is_w_invariant(spin, D4)
+            self._agrees(delta, spin)
+        assert not _handed(pair_loop_calls, delta)
+
+    def test_denominator_of_d_times_invariants_of_b(self, pair_loop_calls):
+        # Delta_D4 is not alternating under B4's group
+        delta = weyl_denominator(D4)
+        assert delta.act(simple_reflections(B4)[-1]) != -delta
+        for x in (ch_g_via_hooks(B4, 2).body, weyl_character(B4, B4.fundamental_weight(4))):
+            self._agrees(delta, x)
+        assert not _handed(pair_loop_calls, delta)
+
+    @pytest.mark.parametrize("rs", [B2, B3, C3, D4], ids=_system_id)
+    def test_near_misses_fall_back(self, rs, pair_loop_calls):
+        delta = weyl_denominator(rs)
+        body = ch_g_via_hooks(rs, 2).body
+        off_delta = delta + GAElem.one(rs.rank)
+        off_body = body + GAElem.exponential(-rs.rho)
+        for x, y in ((off_delta, body), (delta, off_body)):
+            self._agrees(x, y)
+            assert _handed(pair_loop_calls, x) and _handed(pair_loop_calls, y)
+
+    def test_zero_operand(self):
+        delta = weyl_denominator(D4)
+        zero = GAElem.zero(4)
+        assert delta * zero == zero == zero * delta
+
+    def test_past_the_enumeration_guard_falls_back(self):
+        # alternating under s_(eps_1 - eps_2) on its first term; rank 8 has no
+        # orbit table, so the pair loop forms the product
+        x = GAElem.exponential(eps(8, 1)) - GAElem.exponential(eps(8, 2))
+        assert x * GAElem.one(8) == x
+
+    def test_scalars_and_errors_unchanged(self):
+        delta = weyl_denominator(B3)
+        assert delta * 3 == delta.scale(3) == 3 * delta
+        assert delta * Fraction(1, 2) == delta.scale(Fraction(1, 2))
+        with pytest.raises(TypeError):
+            delta * EPoly.one(3)
+        with pytest.raises(RankMismatch):
+            delta * weyl_character(B2, B2.fundamental_weight(1))
+
+    def test_d4_blocks_never_hand_the_denominator_to_the_pair_loop(self, pair_loop_calls):
+        # the product is |W| times cheaper only if the pair loop sees X~ = e^rho
+        delta = weyl_denominator(D4)
+        for k in range(D4.rank + 3):
+            pair_loop_calls.clear()
+            delta * ch_g_via_hooks(D4, k).body
+            assert pair_loop_calls, k
+            for x, y in pair_loop_calls:
+                assert delta != x and delta != y, k
+                assert min(len(x.terms), len(y.terms)) == 1, k
 
 
 class TestExtPowers:

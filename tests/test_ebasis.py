@@ -424,6 +424,32 @@ def test_certificate_substitutes_only_blocks_into_characters(monkeypatch):
     assert seen
 
 
+@pytest.mark.parametrize("rs", (B3, C3, D4), ids=lambda r: f"{r.lie_type.value}{r.rank}")
+def test_certificate_checks_each_round_trip_and_block_once(rs, monkeypatch):
+    """Each k's round trip and each block's image under E_r -> e_r are
+    checked once, though characters-E{k} is the conjunction over j <= k."""
+    from qcasimir import ebasis
+
+    trips, images = [], []
+    trip, substitute = ebasis.round_trip_ok, EPoly.substitute
+
+    def counted_trip(rs_, sol, k):
+        trips.append(k)
+        return trip(rs_, sol, k)
+
+    def counted_substitute(self, values, one):
+        if isinstance(one, GAElem):
+            images.append(self)
+        return substitute(self, values, one)
+
+    monkeypatch.setattr(ebasis, "round_trip_ok", counted_trip)
+    monkeypatch.setattr(EPoly, "substitute", counted_substitute)
+    rep = generation_certificate(rs)
+    solved = list(range(1, rep["solved_range"] + 1))
+    assert trips == solved
+    assert images == [g_in_e_basis(rs, j) for j in solved]
+
+
 @pytest.mark.parametrize("n", (4, 5, 6, 7))
 def test_type_d_full_column_is_the_last_symbol(n):
     # the determinant of (1^n) is chi(1^n) plus its mirror's character, the
